@@ -18,6 +18,12 @@
 //     metrics plane attached must produce a bit-identical fleet report
 //     and cost <= 5% events/s vs the untraced lane; --trace/--metrics
 //     export the run's Chrome trace and metrics time series.
+// plus one ungated section:
+//  5. fleet-size sweep: the section-2 workload at the same 80% load on
+//     16, 128, 512 and 1024 replicas (smoke: 16 and 128), reporting
+//     requests/s and schedule replays per run — per-request host work
+//     should not grow with the fleet, and the shared replay memo should
+//     replay each key once at any size.
 //
 // Usage: bench_sim_bench [--smoke] [--history <file>] [--requests N]
 //                        [--trace <file>] [--metrics <file>] [--quiet]
@@ -456,7 +462,26 @@ bool Run(const BenchArgs& args) {
     }
   }
 
-  char json[1280];
+  // --- Section 5: fleet-size sweep (reported, not gated) ---
+  const std::vector<int> sweep_sizes =
+      smoke ? std::vector<int>{16, 128} : std::vector<int>{16, 128, 512, 1024};
+  const int64_t sweep_requests = smoke ? 20000 : 200000;
+  std::string sweep_fields;
+  Narrate(quiet, "\nfleet-size sweep (%lld requests per size, 80%% load):\n",
+          static_cast<long long>(sweep_requests));
+  for (const int size : sweep_sizes) {
+    const E2ERun run = RunEndToEnd(hardware, specs, service_us, size, sweep_requests, nullptr);
+    const double requests_per_s =
+        run.wall_s > 0.0 ? static_cast<double>(run.report.stats.count()) / run.wall_s : 0.0;
+    Narrate(quiet, "  %5d replicas: %10.0f requests/s, %zu replays per run\n", size,
+            requests_per_s, run.report.replays);
+    char field[128];
+    std::snprintf(field, sizeof(field), ", \"sweep_rps_%d\": %.0f, \"sweep_replays_%d\": %zu",
+                  size, requests_per_s, size, run.report.replays);
+    sweep_fields += field;
+  }
+
+  char json[2048];
   std::snprintf(
       json, sizeof(json),
       "{\"bench\": \"sim\", \"smoke\": %s, \"sim_requests\": %zu, \"sim_replicas\": %d, "
@@ -464,14 +489,15 @@ bool Run(const BenchArgs& args) {
       "\"sim_core_events_per_sec\": %.0f, \"sim_core_legacy_events_per_sec\": %.0f, "
       "\"sim_core_speedup\": %.2f, \"sim_bit_identical\": %s, "
       "\"obs_overhead_pct\": %.2f, \"obs_events_per_sec\": %.0f, \"obs_spans\": %llu, "
-      "\"obs_checkpoints\": %zu, \"obs_identical\": %s}",
+      "\"obs_checkpoints\": %zu, \"obs_identical\": %s%s}",
       smoke ? "true" : "false", report.stats.count(), replicas,
       static_cast<unsigned long long>(report.events), plain.wall_s, plain.EventsPerSec(),
       calendar.EventsPerSec(), legacy.EventsPerSec(), core_speedup,
       bit_identical && core_checksums_match ? "true" : "false", obs_overhead_pct,
       traced_best.EventsPerSec(),
       static_cast<unsigned long long>(obs.tracer().emitted()),
-      obs.metrics().checkpoint_count(), obs_identical ? "true" : "false");
+      obs.metrics().checkpoint_count(), obs_identical ? "true" : "false",
+      sweep_fields.c_str());
   FILE* out = std::fopen("BENCH_sim.json", "w");
   if (out != nullptr) {
     std::fprintf(out, "%s\n", json);

@@ -1,5 +1,6 @@
 #include "src/cluster/fleet_router.h"
 
+#include "src/cluster/fleet_plan_index.h"
 #include "src/util/check.h"
 
 namespace flo {
@@ -92,6 +93,32 @@ int FleetRouter::Place(const std::vector<ReplicaSnapshot>& replicas, int avoid_i
       }
       if (placed == -1) {
         placed = LeastLoaded(replicas, allowed);
+      }
+      break;
+  }
+  if (placed != -1) {
+    last_placed_id_ = placed;
+  }
+  return placed;
+}
+
+int FleetRouter::PlaceIndexed(const FleetPlanIndex& index, uint64_t key, SimTime now,
+                              double cost_estimate_us, int avoid_id) {
+  using Tier = FleetPlanIndex::Tier;
+  int placed = -1;
+  switch (policy_) {
+    case PlacementPolicy::kRoundRobin:
+      placed = index.NextAccepting(last_placed_id_, avoid_id);
+      break;
+    case PlacementPolicy::kLeastLoaded:
+      placed = index.LeastLoaded(key, Tier::kAny, now, cost_estimate_us, avoid_id);
+      break;
+    case PlacementPolicy::kPlanAffinity:
+      for (const Tier tier : {Tier::kWarm, Tier::kTuning, Tier::kPending, Tier::kAny}) {
+        placed = index.LeastLoaded(key, tier, now, cost_estimate_us, avoid_id);
+        if (placed != -1) {
+          break;
+        }
       }
       break;
   }

@@ -1,10 +1,12 @@
 // Request placement for the serving fleet: which replica gets the next
 // request.
 //
-// The router sees replicas only through snapshots (load, warmth) and is
-// deterministic: identical snapshot sequences produce identical
-// placements, with the lowest replica id breaking every tie. Three
-// policies:
+// The router sees replicas only through snapshots (load, warmth) or
+// through the fleet's plan index (src/cluster/fleet_plan_index.h), which
+// holds the same facts kept current incrementally; both paths make the
+// same decision. It is deterministic: identical snapshot sequences
+// produce identical placements, with the lowest replica id breaking
+// every tie. Three policies:
 //  - round-robin: rotate over accepting replicas, load-blind;
 //  - least-loaded: minimize backlog cost — the executor's remaining busy
 //    time plus queue depth x predicted per-request cost;
@@ -26,6 +28,8 @@
 #include "src/sim/event_queue.h"
 
 namespace flo {
+
+class FleetPlanIndex;
 
 enum class PlacementPolicy {
   kRoundRobin,
@@ -70,6 +74,14 @@ class FleetRouter {
   // preemptive-requeue path re-places work pulled off an overloaded
   // replica and must not hand it straight back.
   int Place(const std::vector<ReplicaSnapshot>& replicas, int avoid_id = -1);
+
+  // The serving cluster's placement path: the decision Place would make
+  // over the snapshots of every live replica for `key` at `now` (pending
+  // cost = queue depth x `cost_estimate_us`), read from the plan index
+  // with no per-replica store or session lookup. Shares the round-robin
+  // rotation with Place; the snapshot form stays as its reference.
+  int PlaceIndexed(const FleetPlanIndex& index, uint64_t key, SimTime now,
+                   double cost_estimate_us, int avoid_id = -1);
 
  private:
   int PlaceRoundRobin(const std::vector<ReplicaSnapshot>& replicas, int avoid_id);

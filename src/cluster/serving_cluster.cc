@@ -85,16 +85,32 @@ ServingCluster::ServingCluster(ClusterSpec hardware, ClusterConfig config,
   }
 }
 
+ServingCluster::~ServingCluster() {
+  for (const auto& replica : replicas_) {
+    replica->store()->SetResidencyListener(nullptr);
+  }
+}
+
 Replica* ServingCluster::SpawnReplica(SimTime now) {
   const int id = next_replica_id_++;
   replicas_.push_back(std::make_unique<Replica>(id, hardware_, tuner_config_, options_,
                                                 config_.store_capacity, now));
   Replica* replica = replicas_.back().get();
+  // Every replica engine has the same cluster, tuner config and options,
+  // so they can share replays.
+  replica->engine().UseSharedReplayMemo(memo_);
+  index_.AddReplica(id);
+  // Residency feeds the index from the first plan on: the bootstrap
+  // below already lands through it.
+  replica->store()->SetResidencyListener(
+      [this, id](uint64_t key, bool resident) { index_.SetResident(id, key, resident); });
+  live_.push_back(replica);
   // Subscribing bootstraps the fresh store (and tuner) with every
   // published plan: a replica spawned mid-burst starts warm — both tiers
   // — instead of re-tuning the mix.
   shipper_.Subscribe(id, replica->store(), &replica->engine().tuner());
   replica->StartSession(config_.serve, &events_, HooksFor(replica));
+  replica->session()->SetObserver(&index_);
   replica->session()->SetFaultPolicy(
       ServeSession::FaultPolicy{config_.faults.tuner_retry_budget,
                                 config_.faults.retry_backoff_base_us,
@@ -103,7 +119,7 @@ Replica* ServingCluster::SpawnReplica(SimTime now) {
   EmitFleetInstant(config_.serve.obs, SpanKind::kReplicaSpawn, now,
                    static_cast<uint64_t>(id), 0);
   int accepting = 0;
-  for (const auto& r : replicas_) {
+  for (const Replica* r : live_) {
     accepting += r->accepting() ? 1 : 0;
   }
   peak_replicas_ = std::max(peak_replicas_, accepting);
@@ -111,12 +127,13 @@ Replica* ServingCluster::SpawnReplica(SimTime now) {
 }
 
 Replica* ServingCluster::FindReplica(int id) {
-  for (const auto& replica : replicas_) {
-    if (replica->id() == id) {
-      return replica.get();
-    }
-  }
-  return nullptr;
+  return id >= 0 && static_cast<size_t>(id) < replicas_.size()
+             ? replicas_[static_cast<size_t>(id)].get()
+             : nullptr;
+}
+
+void ServingCluster::SyncAccepting(Replica* replica) {
+  index_.SetAccepting(replica->id(), replica->accepting());
 }
 
 ServeSession::Hooks ServingCluster::HooksFor(Replica* replica) {
@@ -192,10 +209,9 @@ double ServingCluster::CostEstimateUs() const {
                            : config_.default_cost_estimate_us;
 }
 
-const std::vector<ReplicaSnapshot>& ServingCluster::Snapshots(uint64_t key, SimTime now) {
-  std::vector<ReplicaSnapshot>& snapshots = snapshot_scratch_;
-  snapshots.clear();
-  snapshots.reserve(replicas_.size());
+std::vector<ReplicaSnapshot> ServingCluster::Snapshots(uint64_t key, SimTime now) const {
+  std::vector<ReplicaSnapshot> snapshots;
+  snapshots.reserve(live_.size());
   const double cost_estimate = CostEstimateUs();
   for (const auto& replica : replicas_) {
     if (replica->retired() || replica->session() == nullptr) {
@@ -217,9 +233,34 @@ const std::vector<ReplicaSnapshot>& ServingCluster::Snapshots(uint64_t key, SimT
   return snapshots;
 }
 
+int ServingCluster::Place(uint64_t key, SimTime now, int avoid_id) {
+  const int id = router_.PlaceIndexed(index_, key, now, CostEstimateUs(), avoid_id);
+  if (placement_observer_) {
+    placement_observer_(key, now, avoid_id, id);
+  }
+  return id;
+}
+
+uint64_t ServingCluster::IngestKey(const ScenarioSpec& spec) {
+  StableHash hash;
+  spec.MixInto(hash);
+  const bool imbalanced = spec.imbalanced();
+  const auto [it, inserted] = ingest_keys_.try_emplace(hash.value());
+  if (inserted) {
+    it->second = IngestedKey{imbalanced, keyer_.KeyFromSpecHash(hash, imbalanced)};
+  } else if (it->second.imbalanced != imbalanced) {
+    // Two specs sharing a fingerprint but not a shape count: key this one
+    // in full rather than trust the memo.
+    return keyer_.KeyFromSpecHash(hash, imbalanced);
+  }
+  return it->second.key;
+}
+
 void ServingCluster::PlaceRequest(ServeRequest request, SimTime now) {
-  const uint64_t key = keyer_.CanonicalKey(request.spec);
-  run_keys_.insert(key);
+  // Ingestion: the one canonical key of the request's life. The queue,
+  // the store lookups and the replay memo all reuse request.key.
+  request.key = IngestKey(request.spec);
+  run_keys_.insert(request.key);
   if (scheduler_ != nullptr) {
     // One arrival charge per admitted request (requeues and preemptive
     // re-placements bypass this path on purpose — a placement revision
@@ -230,7 +271,7 @@ void ServingCluster::PlaceRequest(ServeRequest request, SimTime now) {
     }
     scheduler_->ChargeArrival(request.tenant_id, now);
   }
-  const int id = router_.Place(Snapshots(key, now));
+  const int id = Place(request.key, now, -1);
   if (id == -1) {
     // Every replica is down or draining. Under fault injection that is a
     // transient (health restores are already scheduled): park the arrival
@@ -247,9 +288,11 @@ void ServingCluster::PlaceRequest(ServeRequest request, SimTime now) {
 }
 
 void ServingCluster::DispatchAll(SimTime now) {
-  for (const auto& replica : replicas_) {
-    if (!replica->retired() && replica->session() != nullptr) {
-      replica->session()->Dispatch(now);
+  // By index: a session call never retires a replica synchronously, but
+  // an index loop stays defined even if one did.
+  for (size_t i = 0; i < live_.size(); ++i) {
+    if (live_[i]->session() != nullptr) {
+      live_[i]->session()->Dispatch(now);
     }
   }
 }
@@ -257,6 +300,8 @@ void ServingCluster::DispatchAll(SimTime now) {
 void ServingCluster::MaybeRetire(Replica* replica, SimTime now) {
   if (replica->draining() && !replica->retired() && replica->session()->idle()) {
     replica->Retire(now);
+    SyncAccepting(replica);
+    live_.erase(std::find(live_.begin(), live_.end(), replica));
     shipper_.Unsubscribe(replica->id());
     ++drains_;
     EmitFleetInstant(config_.serve.obs, SpanKind::kReplicaRetire, now,
@@ -268,8 +313,10 @@ void ServingCluster::AutoscaleCheck(SimTime now) {
   Autoscaler::Observation observation;
   size_t pending = 0;
   Replica* youngest_accepting = nullptr;
-  for (const auto& replica : replicas_) {
-    if (replica->retired() || replica->session() == nullptr) {
+  // A copy: MaybeRetire below removes from live_.
+  const std::vector<Replica*> live = live_;
+  for (Replica* replica : live) {
+    if (replica->session() == nullptr) {
       continue;
     }
     if (replica->accepting()) {
@@ -278,11 +325,11 @@ void ServingCluster::AutoscaleCheck(SimTime now) {
       // the signal when the requeue paths re-place them.
       pending += replica->session()->pending_requests();
       ++observation.accepting_replicas;
-      youngest_accepting = replica.get();  // id order: last accepting wins
+      youngest_accepting = replica;  // id order: last accepting wins
     }
     // A draining replica that went idle without a completion event (its
     // backlog was empty at drain time) retires at the next checkpoint.
-    MaybeRetire(replica.get(), now);
+    MaybeRetire(replica, now);
   }
   observation.pending_requests = pending;
   if (!recent_latencies_.empty()) {
@@ -333,6 +380,7 @@ void ServingCluster::AutoscaleCheck(SimTime now) {
         EmitFleetInstant(config_.serve.obs, SpanKind::kReplicaDrain, now,
                          static_cast<uint64_t>(youngest_accepting->id()), 0);
         youngest_accepting->BeginDrain();
+        SyncAccepting(youngest_accepting);
         MaybeRetire(youngest_accepting, now);
       }
       break;
@@ -371,6 +419,9 @@ FleetReport ServingCluster::Run(RequestCursor* cursor) {
   recent_latencies_.clear();
   last_window_p99_us_ = 0.0;
   run_keys_.clear();
+  const size_t replays_before = memo_->size();
+  // A new run's sessions start empty; the index forgets the old ones'.
+  index_.ResetSessions();
   spawns_ = 0;
   drains_ = 0;
   prespawns_ = 0;
@@ -445,9 +496,11 @@ FleetReport ServingCluster::Run(RequestCursor* cursor) {
         replica->ClearSession();
       } else {
         replica->StartSession(config_.serve, &events_, HooksFor(replica.get()));
+        replica->session()->SetObserver(&index_);
         replica->session()->SetFaultPolicy(ServeSession::FaultPolicy{
             config_.faults.tuner_retry_budget, config_.faults.retry_backoff_base_us,
             config_.faults.retry_backoff_jitter_us, config_.faults.seed});
+        SyncAccepting(replica.get());  // StartSession resets health
         accepting += replica->accepting() ? 1 : 0;
       }
     }
@@ -491,7 +544,13 @@ FleetReport ServingCluster::Run(RequestCursor* cursor) {
 
   FleetReport report;
   report.distinct_keys = run_keys_.size();
+  report.replays = memo_->size() - replays_before;
   report.events = events_.dispatched() - events_before;
+  size_t records = 0;
+  for (const auto& replica : replicas_) {
+    records += replica->session() != nullptr ? replica->session()->report().stats.count() : 0;
+  }
+  report.stats.Reserve(records);
   for (const auto& replica : replicas_) {
     ReplicaReport entry;
     entry.id = replica->id();
@@ -605,6 +664,7 @@ void ServingCluster::ApplyFault(const FaultEvent& event, SimTime now) {
       EmitFleetInstant(obs, SpanKind::kFaultCrash, now, id,
                        static_cast<uint64_t>(event.duration_us));
       replica->SetHealth(Replica::Health::kCrashed);
+      SyncAccepting(replica);
       session->SetStalled(true);
       // Teardown: evacuate the backlog, lose the store, release every
       // in-flight search the dead replica owned, and leave the shipper's
@@ -625,6 +685,7 @@ void ServingCluster::ApplyFault(const FaultEvent& event, SimTime now) {
       EmitFleetInstant(obs, SpanKind::kFaultInject, now, id,
                        static_cast<uint64_t>(event.kind));
       replica->SetHealth(Replica::Health::kHung);
+      SyncAccepting(replica);
       session->SetStalled(true);
       // The detection deadline comes from the recovery policy, not the
       // event: a hang shorter than the deadline resolves invisibly.
@@ -646,6 +707,7 @@ void ServingCluster::ApplyFault(const FaultEvent& event, SimTime now) {
       // The straggler keeps executing (slowly) but is unroutable until
       // the window closes.
       replica->SetHealth(Replica::Health::kStraggling);
+      SyncAccepting(replica);
       session->SetCostMultiplier(event.magnitude);
       push_restore(FaultKind::kSlowdown, replica->id(), event.duration_us);
       break;
@@ -685,6 +747,7 @@ void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
           replica->id(), replica->store(), &replica->engine().tuner());
       ++fault_report_.replica_restarts;
       replica->SetHealth(Replica::Health::kHealthy);
+      SyncAccepting(replica);
       replica->session()->SetStalled(false);
       replica->session()->Dispatch(now);
       break;
@@ -693,6 +756,7 @@ void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
         return;
       }
       replica->SetHealth(Replica::Health::kHealthy);
+      SyncAccepting(replica);
       replica->session()->SetStalled(false);
       replica->session()->Dispatch(now);
       break;
@@ -701,6 +765,7 @@ void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
         return;
       }
       replica->SetHealth(Replica::Health::kHealthy);
+      SyncAccepting(replica);
       replica->session()->SetCostMultiplier(1.0);
       replica->session()->Dispatch(now);
       break;
@@ -771,8 +836,7 @@ void ServingCluster::PushRequeue(ServeRequest request, SimTime at) {
 void ServingCluster::OnRequeue(const EventRecord& record, SimTime now) {
   ServeRequest request = std::move(requeue_pool_[record.slot]);
   requeue_free_.push_back(record.slot);
-  const uint64_t key = keyer_.CanonicalKey(request.spec);
-  const int id = router_.Place(Snapshots(key, now));
+  const int id = Place(request.key, now, -1);
   if (id == -1) {
     // Nothing routable right now (every replica down or draining).
     // Health restores are already on the clock, so back off at the base
@@ -797,15 +861,17 @@ void ServingCluster::SchedCheck(SimTime now) {
   // of depth, so they stay out of the baseline.
   size_t accepting = 0;
   size_t accepting_queued = 0;
-  for (const auto& replica : replicas_) {
-    if (replica->retired() || replica->session() == nullptr || !replica->accepting() ||
+  for (const Replica* replica : live_) {
+    if (replica->session() == nullptr || !replica->accepting() ||
         replica->health() != Replica::Health::kHealthy) {
       continue;
     }
     ++accepting;
     accepting_queued += replica->session()->pending_requests();
   }
-  for (const auto& replica : replicas_) {
+  // A copy: MaybeRetire below removes from live_.
+  const std::vector<Replica*> live = live_;
+  for (Replica* replica : live) {
     if (replica->retired() || replica->session() == nullptr) {
       continue;
     }
@@ -831,25 +897,24 @@ void ServingCluster::SchedCheck(SimTime now) {
     preempt_scratch_.clear();
     const size_t pulled = replica->session()->ExtractQueued(&preempt_scratch_);
     if (pulled == 0) {
-      MaybeRetire(replica.get(), now);
+      MaybeRetire(replica, now);
       continue;
     }
     sched_preempted_ += pulled;
     EmitFleetInstant(config_.serve.obs, SpanKind::kSchedPreempt, now,
                      static_cast<uint64_t>(replica->id()), pulled);
     for (ServeRequest& request : preempt_scratch_) {
-      const uint64_t key = keyer_.CanonicalKey(request.spec);
-      const int id = router_.Place(Snapshots(key, now), replica->id());
+      const int id = Place(request.key, now, replica->id());
       Replica* target = id != -1 ? FindReplica(id) : nullptr;
       if (target == nullptr) {
         // Nowhere better: hand the request straight back. Not a retry —
         // preemption is a placement revision, not a failure.
-        target = replica.get();
+        target = replica;
       }
       target->session()->Admit(std::move(request), now);
     }
     preempt_scratch_.clear();
-    MaybeRetire(replica.get(), now);
+    MaybeRetire(replica, now);
   }
   // Re-arm while served work remains, like the autoscale checkpoint.
   if (completed_requests_ < pump_->admitted() || !pump_->done()) {

@@ -2,16 +2,24 @@
 // FleetRouter, on one shared simulated clock.
 //
 // Layering (the fleet analogue of ScenarioSpec -> Planner -> Executor):
-//   trace -> RequestCursor/ArrivalPump (streamed admission) -> FleetRouter
-//   (placement) -> Replica ServeSessions (per-tenant queues, executor +
-//   tuning lanes) -> shared EventLoop (typed records, calendar queue)
-// with two fleet-level services threaded through the session hooks:
+//   trace -> RequestCursor/ArrivalPump (streamed admission; the canonical
+//   plan key is computed here, once per request) -> FleetRouter (placement
+//   off the FleetPlanIndex) -> Replica ServeSessions (per-tenant queues,
+//   executor + tuning lanes) -> shared EventLoop (typed records, calendar
+//   queue)
+// with fleet-level services threaded through the session hooks:
 //   - PlanShipper: fleet-wide single-flight of tuner searches and
 //     publication of freshly tuned plans to every replica's PlanStore, so
 //     the fleet pays each distinct scenario's search exactly once (and a
 //     saved snapshot warm-starts the next process with zero searches);
 //   - Autoscaler: spawns/drains replicas from queue depth and SLO
-//     pressure at fixed sim-clock checkpoints, deterministically.
+//     pressure at fixed sim-clock checkpoints, deterministically;
+//   - FleetPlanIndex: per key, which replicas hold the plan warm, are
+//     tuning it, or have its requests pending, plus every replica's load
+//     row — fed by store residency changes and session transitions, so a
+//     placement never polls the replicas;
+//   - one ReplayMemo shared by every replica engine, so the fleet replays
+//     each distinct scenario once however many replicas serve it.
 //
 // Everything is deterministic: the same trace and config produce
 // bit-identical reports, plans are bit-identical at any replica count and
@@ -20,16 +28,20 @@
 #define SRC_CLUSTER_SERVING_CLUSTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/cluster/autoscaler.h"
+#include "src/cluster/fleet_plan_index.h"
 #include "src/cluster/fleet_router.h"
 #include "src/cluster/plan_shipping.h"
 #include "src/cluster/replica.h"
 #include "src/core/overlap_engine.h"
+#include "src/core/replay_memo.h"
 #include "src/fault/fault_config.h"
 #include "src/fault/fault_schedule.h"
 #include "src/sched/fleet_scheduler.h"
@@ -91,6 +103,12 @@ struct FleetReport {
   // Distinct plan keys in the served trace: with plan shipping on,
   // total_searches <= distinct_keys (each scenario tuned once fleet-wide).
   size_t distinct_keys = 0;
+  // Schedule replays the fleet's shared memo ran this run: one per
+  // distinct scenario (degraded safety-plan forms included) not already
+  // replayed by an earlier run of the same cluster; 0 with
+  // ServeConfig::memoize_runs off, whose batches replay in full. Host
+  // work, not simulated outcome.
+  size_t replays = 0;
   int peak_replicas = 0;
   size_t spawns = 0;
   size_t drains = 0;
@@ -120,6 +138,11 @@ class ServingCluster {
  public:
   explicit ServingCluster(ClusterSpec hardware, ClusterConfig config = {},
                           TunerConfig tuner_config = {}, EngineOptions options = {});
+  // Detaches the replica stores' residency listeners (a caller may hold a
+  // store past the cluster).
+  ~ServingCluster();
+  ServingCluster(const ServingCluster&) = delete;
+  ServingCluster& operator=(const ServingCluster&) = delete;
 
   // Serves the trace to completion. Replica engines and stores persist
   // across calls (a second run of the same trace serves warm); the report
@@ -142,6 +165,24 @@ class ServingCluster {
   // The canonical plan key requests are routed by (replica-independent).
   uint64_t KeyFor(const ScenarioSpec& spec) const { return keyer_.CanonicalKey(spec); }
 
+  // The router's per-replica view for `key` at `now`, polled from every
+  // live replica (one store and three session lookups each). Not on the
+  // placement path: it is the reference the plan index is checked
+  // against — FleetRouter::Place over this vector picks what the
+  // cluster's index-backed placement picks.
+  std::vector<ReplicaSnapshot> Snapshots(uint64_t key, SimTime now) const;
+
+  // Called at every placement decision (arrivals, requeues, preemptive
+  // re-placements) after the router chose and before the request is
+  // admitted: the request's key, the time, the excluded replica (-1 for
+  // none) and the chosen replica (-1 when none accepts). Absent by
+  // default; tests pair it with Snapshots() to audit placements.
+  using PlacementObserver =
+      std::function<void(uint64_t key, SimTime now, int avoid_id, int placed)>;
+  void SetPlacementObserver(PlacementObserver observer) {
+    placement_observer_ = std::move(observer);
+  }
+
   // Pins an explicit fault schedule (scripted chaos, e.g. from
   // FaultSchedule::ParseCsv) for subsequent Runs, overriding the one
   // ClusterConfig::faults would generate. An empty schedule clears the
@@ -155,11 +196,18 @@ class ServingCluster {
 
  private:
   Replica* SpawnReplica(SimTime now);
+  // O(1): replica ids are dense indices into replicas_.
   Replica* FindReplica(int id);
   ServeSession::Hooks HooksFor(Replica* replica);
-  // Returns a reference to snapshot_scratch_, rebuilt for this call: one
-  // router decision per arrival must not cost a vector allocation.
-  const std::vector<ReplicaSnapshot>& Snapshots(uint64_t key, SimTime now);
+  // Mirrors Replica::accepting() into the plan index; called after every
+  // drain, retirement, health change and session start.
+  void SyncAccepting(Replica* replica);
+  // One router decision off the plan index (reported to the placement
+  // observer); -1 when no replica accepts.
+  int Place(uint64_t key, SimTime now, int avoid_id);
+  // KeyFor at ingestion, memoized on the spec's own fingerprint: the
+  // cluster and tuner half of the key is the same for every request.
+  uint64_t IngestKey(const ScenarioSpec& spec);
   void PlaceRequest(ServeRequest request, SimTime now);
   void DispatchAll(SimTime now);
   void MaybeRetire(Replica* replica, SimTime now);
@@ -194,8 +242,21 @@ class ServingCluster {
   Tuner keyer_tuner_;
   PlanStore keyer_store_;
   OverlapPlanner keyer_;
+  // IngestKey's memo: spec fingerprint (ScenarioSpec::MixInto) -> the
+  // spec's imbalanced() and its canonical key.
+  struct IngestedKey {
+    bool imbalanced = false;
+    uint64_t key = 0;
+  };
+  std::unordered_map<uint64_t, IngestedKey> ingest_keys_;
 
   FleetRouter router_;
+  // Placement state of every replica ever spawned; declared before
+  // replicas_ so it outlives the stores and sessions that feed it.
+  FleetPlanIndex index_;
+  // The replay memo every replica engine shares (persists across runs,
+  // like the stores).
+  std::shared_ptr<ReplayMemo> memo_ = std::make_shared<ReplayMemo>();
   PlanShipper shipper_;
   EventLoop events_;
   // Constructed when ClusterConfig::sched enables it (every session then
@@ -210,7 +271,12 @@ class ServingCluster {
   uint32_t fault_handler_ = 0;
   uint32_t sched_handler_ = 0;
   std::vector<std::unique_ptr<Replica>> replicas_;
+  // The non-retired replicas, in id order: the fleet-wide loops
+  // (DispatchAll, checkpoints) skip the retired ones without visiting
+  // them.
+  std::vector<Replica*> live_;
   int next_replica_id_ = 0;
+  PlacementObserver placement_observer_;
 
   // Per-run state (reset by Run).
   std::unique_ptr<Autoscaler> autoscaler_;
@@ -229,7 +295,6 @@ class ServingCluster {
   double last_window_p99_us_ = 0.0;
   // Distinct plan keys seen by PlaceRequest this run.
   std::set<uint64_t> run_keys_;
-  std::vector<ReplicaSnapshot> snapshot_scratch_;
   int peak_replicas_ = 0;
   size_t spawns_ = 0;
   size_t drains_ = 0;

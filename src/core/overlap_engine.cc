@@ -17,30 +17,48 @@ OverlapEngine::OverlapEngine(ClusterSpec cluster, TunerConfig tuner_config,
       options_(options),
       tuner_(cluster, tuner_config),
       planner_(&tuner_, &plan_store_),
-      executor_(std::move(cluster)) {}
+      executor_(std::move(cluster)),
+      memo_(std::make_shared<ReplayMemo>()) {}
 
 void OverlapEngine::UseSharedPlanStore(std::shared_ptr<PlanStore> store) {
   FLO_CHECK(store != nullptr);
   shared_store_ = std::move(store);
   store_ = shared_store_.get();
   planner_ = OverlapPlanner(&tuner_, store_);
-  // Conservative: memoized runs stay valid across stores (plans for a key
-  // are deterministic), but a store swap is a deployment boundary — start
-  // clean.
-  run_memo_.clear();
+}
+
+void OverlapEngine::UseSharedReplayMemo(std::shared_ptr<ReplayMemo> memo) {
+  FLO_CHECK(memo != nullptr);
+  memo_ = std::move(memo);
 }
 
 OverlapRun OverlapEngine::Execute(const ScenarioSpec& spec) {
-  return ExecuteInternal(spec, /*memoize=*/false);
+  return ExecuteInternal(spec, planner_.CanonicalKey(spec), /*memoize=*/false);
 }
 
 OverlapRun OverlapEngine::ExecuteMemoized(const ScenarioSpec& spec) {
-  // Per-scenario option overrides are not part of the MixInto fingerprint,
-  // so those specs always take the plain path.
-  return ExecuteInternal(spec, /*memoize=*/!spec.options.has_value());
+  // Per-scenario option overrides are not part of the canonical key, so
+  // those specs always take the plain path.
+  return ExecuteInternal(spec, planner_.CanonicalKey(spec),
+                         /*memoize=*/!spec.options.has_value());
 }
 
-OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, bool memoize) {
+OverlapEngine::ServedRun OverlapEngine::ExecuteServed(const ScenarioSpec& spec,
+                                                      uint64_t key) {
+  if (!spec.options.has_value()) {
+    if (const OverlapRun* memoized = memo_->Find(key)) {
+      // Read before the lookup: a miss builds a plan, and nothing may
+      // touch the memo entry after that.
+      const SimTime total_us = memoized->total_us;
+      return ServedRun{total_us, planner_.Touch(spec, key)};
+    }
+  }
+  const OverlapRun run = ExecuteInternal(spec, key, /*memoize=*/!spec.options.has_value());
+  return ServedRun{run.total_us, run.plan_cache_hit};
+}
+
+OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, uint64_t key,
+                                          bool memoize) {
   const EngineOptions& effective = spec.options.has_value() ? *spec.options : options_;
   bool cache_hit = false;
   // Against a shared store another engine may evict concurrently, so take
@@ -49,19 +67,14 @@ OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, bool memoize
   ExecutionPlan owned;
   const ExecutionPlan* plan;
   if (shared_store_ != nullptr) {
-    owned = planner_.PlanByValue(spec, &cache_hit);
+    owned = planner_.PlanByValueForKey(spec, key, &cache_hit);
     plan = &owned;
   } else {
-    plan = &planner_.Plan(spec, &cache_hit);
+    plan = &planner_.PlanForKey(spec, key, &cache_hit);
   }
-  uint64_t fingerprint = 0;
   if (memoize) {
-    StableHash hash;
-    spec.MixInto(hash);
-    fingerprint = hash.value();
-    const auto it = run_memo_.find(fingerprint);
-    if (it != run_memo_.end()) {
-      OverlapRun run = it->second;
+    if (const OverlapRun* memoized = memo_->Find(key)) {
+      OverlapRun run = *memoized;
       // Hit/miss is a property of this call's store lookup, not of the
       // memoized one.
       run.plan_cache_hit = cache_hit;
@@ -87,9 +100,7 @@ OverlapRun OverlapEngine::ExecuteInternal(const ScenarioSpec& spec, bool memoize
   }
   run.plan_cache_hit = cache_hit;
   if (memoize) {
-    OverlapRun cached = run;
-    cached.groups.clear();  // keep memo entries small; traces stay per-call
-    run_memo_.emplace(fingerprint, std::move(cached));
+    memo_->Insert(key, run);  // traces stay per-call
   }
   return run;
 }

@@ -16,13 +16,13 @@
 
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/comm/cost_model.h"
 #include "src/core/engine_options.h"
 #include "src/core/overlap_planner.h"
 #include "src/core/plan_store.h"
+#include "src/core/replay_memo.h"
 #include "src/core/scenario.h"
 #include "src/core/schedule_executor.h"
 #include "src/core/tuner.h"
@@ -36,6 +36,13 @@ namespace flo {
 
 class OverlapEngine {
  public:
+  // What a serving loop needs from one replay: the simulated service time
+  // and whether this call's plan lookup hit the store.
+  struct ServedRun {
+    SimTime total_us = 0.0;
+    bool plan_cache_hit = false;
+  };
+
   explicit OverlapEngine(ClusterSpec cluster, TunerConfig tuner_config = {},
                          EngineOptions options = {});
 
@@ -53,8 +60,19 @@ class OverlapEngine {
   // capacity-bounded PlanStore so several engines/serving loops reuse each
   // other's plans. Cross-engine reuse only happens between identical
   // deployments — the canonical key covers cluster and tuner config.
-  // Resets planner stats (they described the old store).
+  // Resets planner stats (they described the old store). The replay memo
+  // is kept: a memoized replay is a pure function of the canonical key
+  // and the engine's options, whichever store serves the plan, and the
+  // memo may be shared by a whole fleet (UseSharedReplayMemo).
   void UseSharedPlanStore(std::shared_ptr<PlanStore> store);
+
+  // Shared-memo mode: repoints ExecuteMemoized/ExecuteServed at an
+  // external ReplayMemo so several engines replay each distinct scenario
+  // once between them. Every engine sharing a memo must have the same
+  // cluster, tuner config and EngineOptions (a ServingCluster's replicas
+  // do), and all of them must be driven from one thread.
+  void UseSharedReplayMemo(std::shared_ptr<ReplayMemo> memo);
+  const ReplayMemo& replay_memo() const { return *memo_; }
 
   // Executes one scenario end to end: plan (cached) then schedule. For
   // ScenarioKind::kNonOverlap only `total_us`, `predicted_us` and
@@ -67,10 +85,20 @@ class OverlapEngine {
   // hit/miss counters, LRU recency, and planner stats advance exactly as
   // with Execute, and plan_cache_hit reflects the fresh lookup — but on a
   // repeat spec the deterministic simulation itself (gemm configs, seeded
-  // schedule replay) is skipped and the cached result returned with
-  // `groups` traces empty. Specs carrying per-scenario options bypass the
-  // memo entirely (their engine options are not part of the fingerprint).
+  // schedule replay) is skipped and the cached result returned with its
+  // traces empty: `groups`, `gemm_timeline` and `comm_timeline` are never
+  // memoized, so callers of a memoized run may read only the scalar
+  // fields (total_us, predicted_us, gemm_end_us, partition,
+  // plan_cache_hit). The memo is keyed by the canonical plan key. Specs
+  // carrying per-scenario options bypass the memo entirely (their engine
+  // options are not part of the key).
   OverlapRun ExecuteMemoized(const ScenarioSpec& spec);
+
+  // The serving loop's form of ExecuteMemoized, for a caller that already
+  // holds `key` == planner().CanonicalKey(spec): same store bookkeeping,
+  // same memo, but a memo hit copies neither the plan nor the run — it
+  // returns the memoized total and this call's hit/miss.
+  ServedRun ExecuteServed(const ScenarioSpec& spec, uint64_t key);
 
   // Sweeps many scenarios through the shared executor. Plans are reused
   // across calls via the PlanStore, so repeating a sweep performs zero
@@ -118,7 +146,8 @@ class OverlapEngine {
   SimTime RunNonOverlapImbalanced(const std::vector<GemmShape>& shapes, CommPrimitive primitive);
 
  private:
-  OverlapRun ExecuteInternal(const ScenarioSpec& spec, bool memoize);
+  // `key` is CanonicalKey(spec), computed once by the caller.
+  OverlapRun ExecuteInternal(const ScenarioSpec& spec, uint64_t key, bool memoize);
 
   // The persistent tuning pool, created lazily by the first parallel
   // pretune and reused afterwards (grown if a later call asks for more
@@ -135,12 +164,13 @@ class OverlapEngine {
   OverlapPlanner planner_;
   ScheduleExecutor executor_;
   std::unique_ptr<ThreadPool> tune_pool_;
-  // ExecuteMemoized results keyed by the spec's order-sensitive content
-  // fingerprint (ScenarioSpec::MixInto). Entries store runs with `groups`
-  // cleared; timings are exact because the schedule replay is a pure
-  // function of (plan, configs, options, case seed), all derived
-  // deterministically from the spec.
-  std::unordered_map<uint64_t, OverlapRun> run_memo_;
+  // ExecuteMemoized/ExecuteServed results keyed by canonical plan key:
+  // engine-owned by default, the fleet's shared memo after
+  // UseSharedReplayMemo. Entries hold runs with every trace cleared;
+  // timings are exact because the schedule replay is a pure function of
+  // (plan, configs, options, case seed), all derived deterministically
+  // from the spec and the engine's identity.
+  std::shared_ptr<ReplayMemo> memo_;
 };
 
 }  // namespace flo

@@ -39,6 +39,10 @@ OverlapPlanner::OverlapPlanner(Tuner* tuner, PlanStore* store)
 uint64_t OverlapPlanner::CanonicalKey(const ScenarioSpec& spec) const {
   StableHash hash;
   spec.MixInto(hash);
+  return KeyFromSpecHash(hash, spec.imbalanced());
+}
+
+uint64_t OverlapPlanner::KeyFromSpecHash(StableHash hash, bool imbalanced) const {
   const ClusterSpec& cluster = tuner_->cluster();
   hash.Mix(cluster.gpu_count);
   hash.Mix(cluster.gpu.name.c_str());
@@ -65,7 +69,7 @@ uint64_t OverlapPlanner::CanonicalKey(const ScenarioSpec& spec) const {
   // enumeration), so they are plan-relevant.
   hash.Mix(config.use_legacy_enumeration ? 1 : 0);
   hash.Mix(config.search_max_nodes);
-  if (spec.imbalanced()) {
+  if (imbalanced) {
     // Imbalanced planning-algorithm version: bumped when imbalanced plan
     // construction changes (v2: joint multi-rank search), so stale
     // on-disk stores and shipped records from older deployments never
@@ -107,7 +111,11 @@ void OverlapPlanner::RecordLookup(bool hit, bool* cache_hit) {
 }
 
 const ExecutionPlan& OverlapPlanner::Plan(const ScenarioSpec& spec, bool* cache_hit) {
-  const uint64_t key = CanonicalKey(spec);
+  return PlanForKey(spec, CanonicalKey(spec), cache_hit);
+}
+
+const ExecutionPlan& OverlapPlanner::PlanForKey(const ScenarioSpec& spec, uint64_t key,
+                                                bool* cache_hit) {
   if (const ExecutionPlan* cached = store_->Find(key)) {
     RecordLookup(true, cache_hit);
     return *cached;
@@ -116,8 +124,8 @@ const ExecutionPlan& OverlapPlanner::Plan(const ScenarioSpec& spec, bool* cache_
   return store_->Put(key, Build(spec));
 }
 
-ExecutionPlan OverlapPlanner::PlanByValue(const ScenarioSpec& spec, bool* cache_hit) {
-  const uint64_t key = CanonicalKey(spec);
+ExecutionPlan OverlapPlanner::PlanByValueForKey(const ScenarioSpec& spec, uint64_t key,
+                                                bool* cache_hit) {
   if (std::optional<ExecutionPlan> cached = store_->FindCopy(key)) {
     RecordLookup(true, cache_hit);
     return *std::move(cached);
@@ -126,6 +134,19 @@ ExecutionPlan OverlapPlanner::PlanByValue(const ScenarioSpec& spec, bool* cache_
   ExecutionPlan built = Build(spec);
   store_->Put(key, built);
   return built;
+}
+
+bool OverlapPlanner::Touch(const ScenarioSpec& spec, uint64_t key) {
+  // Find counts and touches under the store's lock; the returned pointer
+  // is only compared, never dereferenced, so a concurrent eviction by an
+  // engine sharing the store cannot make it dangle here.
+  if (store_->Find(key) != nullptr) {
+    RecordLookup(true, nullptr);
+    return true;
+  }
+  RecordLookup(false, nullptr);
+  store_->Put(key, Build(spec));
+  return false;
 }
 
 ExecutionPlan OverlapPlanner::Build(const ScenarioSpec& spec) {
@@ -267,6 +288,15 @@ ExecutionPlan OverlapPlanner::BuildImbalancedLegacy(const ScenarioSpec& spec,
                            ? *spec.forced_partition
                            : tuner_->Tune(reference, spec.primitive).partition;
   PredictorSetup reference_setup = tuner_->MakeSetup(reference, spec.primitive);
+  // A forced partition (the degraded single-group safety plan among them)
+  // may be stated over any wave count: restate it over the reference
+  // rank's waves the way BuildBalancedOverlap does, or the reference
+  // grouping below would not cover the reference GEMM's tiles.
+  const int reference_waves = reference_setup.EffectiveWaveCount();
+  if (base.TotalWaves() != reference_waves) {
+    base = base.group_count() > reference_waves ? WavePartition::PerWave(reference_waves)
+                                                : ScalePartitionExact(base, reference_waves);
+  }
   // Every rank must be able to host one counting-table group per collective
   // call: cap the group count at the lightest rank's wave count by
   // coarsening, then restate the base over the reference's waves.

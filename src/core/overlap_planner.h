@@ -47,6 +47,11 @@ class OverlapPlanner {
   // The plan-cache key: scenario fingerprint x cluster identity x tuner
   // configuration.
   uint64_t CanonicalKey(const ScenarioSpec& spec) const;
+  // CanonicalKey's second half: `spec_hash` is a fresh StableHash after
+  // spec.MixInto. The key is a pure function of that state and
+  // spec.imbalanced(), so a caller that sees the same specs over and over
+  // (a fleet's ingestion) may memoize on the pair and skip this half.
+  uint64_t KeyFromSpecHash(StableHash spec_hash, bool imbalanced) const;
 
   // The tuner search a Build for `spec` would perform — a single-shape
   // Tune or an imbalanced multiset TuneImbalanced — or std::nullopt when
@@ -63,11 +68,23 @@ class OverlapPlanner {
   // the store — per-spec visibility for batch sweeps and serving loops.
   const ExecutionPlan& Plan(const ScenarioSpec& spec, bool* cache_hit = nullptr);
 
-  // Value-returning variant for shared stores: the copy is taken under the
-  // store's lock (PlanStore::FindCopy), so it stays valid even if another
-  // engine concurrently evicts the entry. The engine uses this whenever a
-  // shared PlanStore is attached.
-  ExecutionPlan PlanByValue(const ScenarioSpec& spec, bool* cache_hit = nullptr);
+  // Plan for a caller that already holds `key`, which must equal
+  // CanonicalKey(spec): serving loops compute it once per request, at
+  // ingestion, and reuse it for every lookup after.
+  const ExecutionPlan& PlanForKey(const ScenarioSpec& spec, uint64_t key,
+                                  bool* cache_hit = nullptr);
+  // Value-returning PlanForKey for shared stores: the copy is taken under
+  // the store's lock (PlanStore::FindCopy), so it stays valid even if
+  // another engine concurrently evicts the entry. The engine uses this
+  // whenever a shared PlanStore is attached.
+  ExecutionPlan PlanByValueForKey(const ScenarioSpec& spec, uint64_t key,
+                                  bool* cache_hit = nullptr);
+  // The store bookkeeping of a Plan call without handing out the plan:
+  // counts the hit or miss, refreshes LRU recency and advances the planner
+  // stats exactly as Plan does, and builds and caches the plan on a miss.
+  // Returns whether the plan was served from the store. No plan is copied,
+  // so a serving loop whose replay is memoized pays only the lookup.
+  bool Touch(const ScenarioSpec& spec, uint64_t key);
 
   const PlannerStats& stats() const { return stats_; }
   void ResetStats() { stats_ = PlannerStats{}; }

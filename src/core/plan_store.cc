@@ -149,9 +149,11 @@ void PlanStore::EnforceCapacityLocked() {
         victim = it;
       }
     }
-    plans_.erase(victim->first);
+    const uint64_t key = victim->first;
+    plans_.erase(key);
     last_use_.erase(victim);
     ++stats_.evictions;
+    NotifyLocked(key, false);
   }
 }
 
@@ -184,6 +186,7 @@ const ExecutionPlan& PlanStore::Put(uint64_t key, ExecutionPlan plan) {
   auto [it, inserted] = plans_.insert_or_assign(key, std::move(plan));
   TouchLocked(key);
   if (inserted) {
+    NotifyLocked(key, true);
     // The fresh entry holds the max use tick, so eviction can never pick
     // it: the returned reference stays valid.
     EnforceCapacityLocked();
@@ -208,7 +211,11 @@ std::optional<double> PlanStore::PeekPredictedUs(uint64_t key) const {
 bool PlanStore::Erase(uint64_t key) {
   std::lock_guard<std::mutex> lock(mu_);
   last_use_.erase(key);
-  return plans_.erase(key) != 0;
+  if (plans_.erase(key) == 0) {
+    return false;
+  }
+  NotifyLocked(key, false);
+  return true;
 }
 
 size_t PlanStore::size() const {
@@ -218,8 +225,16 @@ size_t PlanStore::size() const {
 
 void PlanStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& entry : plans_) {
+    NotifyLocked(entry.first, false);
+  }
   plans_.clear();
   last_use_.clear();
+}
+
+void PlanStore::SetResidencyListener(ResidencyListener listener) {
+  std::lock_guard<std::mutex> lock(mu_);
+  listener_ = std::move(listener);
 }
 
 size_t PlanStore::capacity() const {

@@ -18,6 +18,7 @@
 #define SRC_CORE_PLAN_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -168,10 +169,26 @@ class PlanStore {
   std::optional<std::string> ExportRecord(uint64_t key) const;
   size_t ImportRecords(const std::string& text);
 
+  // Residency feed for an external index (a fleet's plan index,
+  // src/cluster): called with (key, true) when a key becomes resident
+  // (a Put that inserts, so imports too) and with (key, false) when it
+  // leaves (eviction, Erase, Clear, a shrinking set_capacity). Overwrites
+  // and lookups do not fire. Runs under the store's lock, so notifications
+  // arrive in mutation order even from several threads; it must not call
+  // back into the store. Not copied or moved with the store; pass nullptr
+  // to detach.
+  using ResidencyListener = std::function<void(uint64_t key, bool resident)>;
+  void SetResidencyListener(ResidencyListener listener);
+
  private:
   void TouchLocked(uint64_t key) const;
   // Evicts least-recently-used entries until size() <= capacity().
   void EnforceCapacityLocked();
+  void NotifyLocked(uint64_t key, bool resident) const {
+    if (listener_) {
+      listener_(key, resident);
+    }
+  }
 
   mutable std::mutex mu_;
   size_t capacity_ = 0;
@@ -182,6 +199,7 @@ class PlanStore {
   mutable std::map<uint64_t, uint64_t> last_use_;
   mutable uint64_t use_clock_ = 0;
   mutable PlanStoreStats stats_;
+  ResidencyListener listener_;
 };
 
 }  // namespace flo

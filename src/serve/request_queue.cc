@@ -36,10 +36,12 @@ RequestQueue::Lane& RequestQueue::LaneFor(ServeRequest* request) {
 }
 
 void RequestQueue::Admit(ServeRequest request) {
-  const uint64_t key = keyer_(request.spec);
+  if (request.key == 0) {
+    request.key = keyer_(request.spec);
+  }
+  ++key_depth_[request.key];
   Lane& lane = LaneFor(&request);
-  lane.queue.push_back(Pending{std::move(request), key});
-  ++key_depth_[key];
+  lane.queue.push_back(std::move(request));
   ++size_;
 }
 
@@ -77,7 +79,7 @@ size_t RequestQueue::NextLaneIndex() const {
       }
       heads_scratch_.push_back(LaneHead{&lane.tenant, lane.tenant_id,
                                         lane.queue.front().key,
-                                        lane.queue.front().request.arrival_us,
+                                        lane.queue.front().arrival_us,
                                         lane.queue.size(), index});
     }
     const size_t pick = picker_(heads_scratch_);
@@ -131,13 +133,13 @@ RequestQueue::BatchPreview RequestQueue::PreviewAt(size_t chosen, int max_batch)
   // Mirror PopBatchInto's gather — the chosen lane's same-key run, then
   // the other lanes' same-key head runs in rotation order — by walking
   // the deques without popping.
-  auto scan = [&](const std::deque<Pending>& queue) {
-    for (const Pending& pending : queue) {
+  auto scan = [&](const std::deque<ServeRequest>& queue) {
+    for (const ServeRequest& pending : queue) {
       if (pending.key != preview.key || preview.size >= cap) {
         break;
       }
-      if (preview.size == 0 || pending.request.arrival_us < preview.oldest_arrival_us) {
-        preview.oldest_arrival_us = pending.request.arrival_us;
+      if (preview.size == 0 || pending.arrival_us < preview.oldest_arrival_us) {
+        preview.oldest_arrival_us = pending.arrival_us;
       }
       ++preview.size;
     }
@@ -157,7 +159,7 @@ size_t RequestQueue::DrainInto(std::vector<ServeRequest>* out) {
   size_t drained = 0;
   for (const std::unique_ptr<Lane>& lane : lanes_) {
     while (!lane->queue.empty()) {
-      out->push_back(std::move(lane->queue.front().request));
+      out->push_back(std::move(lane->queue.front()));
       lane->queue.pop_front();
       ++drained;
     }
@@ -205,10 +207,10 @@ uint64_t RequestQueue::PopAt(size_t chosen, int max_batch, std::vector<ServeRequ
   const uint64_t key = lanes_[chosen]->queue.front().key;
   // The chosen tenant's consecutive same-key run first, then the other
   // tenants' same-key head runs in rotation order.
-  auto drain = [&](std::deque<Pending>* queue) {
+  auto drain = [&](std::deque<ServeRequest>* queue) {
     while (!queue->empty() && queue->front().key == key &&
            out->size() < static_cast<size_t>(max_batch)) {
-      out->push_back(std::move(queue->front().request));
+      out->push_back(std::move(queue->front()));
       queue->pop_front();
       if (--key_depth_[key] == 0) {
         key_depth_.erase(key);

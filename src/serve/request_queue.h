@@ -30,7 +30,10 @@ namespace flo {
 class RequestQueue {
  public:
   // Maps a spec to its plan-compatibility key (typically
-  // OverlapPlanner::CanonicalKey). Keys are computed once, at admission.
+  // OverlapPlanner::CanonicalKey). A request arriving with its key already
+  // set (ServeRequest::key, filled at fleet ingestion) is not re-keyed;
+  // otherwise the key is computed once, at admission, and stored on the
+  // request.
   using Keyer = std::function<uint64_t(const ScenarioSpec&)>;
 
   // A non-empty lane's head, as seen by a LanePicker: the oldest queued
@@ -115,14 +118,11 @@ class RequestQueue {
   size_t DrainInto(std::vector<ServeRequest>* out);
 
  private:
-  struct Pending {
-    ServeRequest request;
-    uint64_t key = 0;
-  };
   struct Lane {
     std::string tenant;
     uint32_t tenant_id = 0;
-    std::deque<Pending> queue;
+    // Every queued request carries its plan key (ServeRequest::key).
+    std::deque<ServeRequest> queue;
   };
 
   // The lane for a request's tenant, interning and creating on demand.

@@ -34,6 +34,11 @@ struct ServeRequest {
   // Times this request was requeued off a failed replica (src/fault
   // recovery); 0 on first placement. Appended last, like tenant_id.
   int retries = 0;
+  // The spec's canonical plan key (OverlapPlanner::CanonicalKey), computed
+  // once at ingestion and reused by the queue, the plan store and the
+  // replay memo. 0 = not computed yet; RequestQueue::Admit fills it in
+  // for hand-built requests.
+  uint64_t key = 0;
 };
 
 // Streaming arrival-time generator: the pull-based form of the batch

@@ -71,7 +71,12 @@ ServeSession::ServeSession(OverlapEngine* engine, ServeConfig config, EventLoop*
 }
 
 void ServeSession::Admit(ServeRequest request, SimTime now) {
+  if (request.key == 0) {
+    request.key = engine_->planner().CanonicalKey(request.spec);  // hand-built request
+  }
   ++pending_requests_;
+  AddPending(request.key, 1);
+  NotifyLoad();
   queue_.Admit(std::move(request));
   Dispatch(now);
 }
@@ -94,6 +99,39 @@ size_t ServeSession::PendingKeyCount(uint64_t key) const {
     }
   }
   return pending;
+}
+
+void ServeSession::AddPending(uint64_t key, size_t count) {
+  if (count == 0) {
+    return;
+  }
+  size_t& pending = pending_by_key_[key];
+  pending += count;
+  if (pending == count && observer_ != nullptr) {
+    observer_->OnPending(replica_id_, key, true);
+  }
+}
+
+void ServeSession::RemovePending(uint64_t key, size_t count) {
+  if (count == 0) {
+    return;
+  }
+  const auto it = pending_by_key_.find(key);
+  FLO_CHECK(it != pending_by_key_.end() && it->second >= count);
+  it->second -= count;
+  if (it->second == 0) {
+    pending_by_key_.erase(it);
+    if (observer_ != nullptr) {
+      observer_->OnPending(replica_id_, key, false);
+    }
+  }
+}
+
+void ServeSession::SetTuning(uint64_t key, bool tuning) {
+  const bool changed = tuning ? tuning_keys_.insert(key).second : tuning_keys_.erase(key) != 0;
+  if (changed && observer_ != nullptr) {
+    observer_->OnTuning(replica_id_, key, tuning);
+  }
 }
 
 uint32_t ServeSession::AcquireSlot() {
@@ -220,6 +258,7 @@ void ServeSession::FinishTuningAt(uint32_t batch_slot, double cost, size_t searc
   Batch& batch = batch_pool_[batch_slot];
   batch.tune_eta_us = now + cost;  // the backfill window's far edge
   tuning_requests_ += batch.requests.size();
+  RemovePending(batch.key, batch.requests.size());
   // Remember the charge so a retry after an injected abort re-pays it
   // even though the tuner's own cache is warm by then.
   batch.charged_searches = std::max(batch.charged_searches, searches);
@@ -268,7 +307,7 @@ void ServeSession::OnTuningFinished(const EventRecord& record, SimTime now) {
     AbortTuning(batch_slot, key, now);
     return;
   }
-  tuning_keys_.erase(key);
+  SetTuning(key, false);
   tuning_requests_ -= batch_pool_[batch_slot].requests.size();
   // Backfill audit: a lower-priority batch slotted into this batch's
   // tuning window must be off the executor by the time the tune
@@ -287,6 +326,7 @@ void ServeSession::OnTuningFinished(const EventRecord& record, SimTime now) {
   }
   // Copied out: Dispatch below may execute and recycle the slot.
   const ScenarioSpec spec = batch_pool_[batch_slot].requests.front().spec;
+  AddPending(key, batch_pool_[batch_slot].requests.size());
   ready_.push_back(batch_slot);
   Dispatch(now);
   if (hooks_.tuning_finished) {
@@ -296,7 +336,7 @@ void ServeSession::OnTuningFinished(const EventRecord& record, SimTime now) {
 
 void ServeSession::AbortTuning(uint32_t batch_slot, uint64_t key, SimTime now) {
   Batch& batch = batch_pool_[batch_slot];
-  tuning_keys_.erase(key);
+  SetTuning(key, false);
   tuning_requests_ -= batch.requests.size();
   batch.tune_failed = false;
   ++batch.tune_retries;
@@ -335,6 +375,7 @@ void ServeSession::AbortTuning(uint32_t batch_slot, uint64_t key, SimTime now) {
         }
       }
       batch.requests.resize(kept);
+      NotifyLoad();
     }
     if (batch.requests.empty()) {
       // Every request shed: nothing left to serve degraded.
@@ -356,6 +397,7 @@ void ServeSession::AbortTuning(uint32_t batch_slot, uint64_t key, SimTime now) {
       span.replica = replica_id_;
       config_.obs->Emit(span);
     }
+    AddPending(key, batch.requests.size());
     ready_.push_back(batch_slot);
   } else {
     ++report_.tuner_retries;
@@ -366,6 +408,7 @@ void ServeSession::AbortTuning(uint32_t batch_slot, uint64_t key, SimTime now) {
     batch.not_before_us = now + backoff;
     // Plain park (merging into a same-key waiter would lose the retry
     // state); the kick re-runs Dispatch at expiry.
+    AddPending(key, batch.requests.size());
     tune_wait_.push_back(batch_slot);
     EventRecord kick;
     kick.type = EventType::kRetryKick;
@@ -435,7 +478,7 @@ size_t ServeSession::ExtractPending(std::vector<ServeRequest>* out) {
       continue;  // already evacuated by an earlier crash
     }
     tuning_requests_ -= batch.requests.size();
-    tuning_keys_.erase(batch.key);
+    SetTuning(batch.key, false);
     batch.cancelled = true;
     evacuate(s, /*counted_pending=*/true);
   }
@@ -444,14 +487,25 @@ size_t ServeSession::ExtractPending(std::vector<ServeRequest>* out) {
   FLO_CHECK_GE(pending_requests_, drained);
   pending_requests_ -= drained;
   extracted += drained;
+  // Every pending lane is empty now.
+  while (!pending_by_key_.empty()) {
+    const auto it = pending_by_key_.begin();
+    RemovePending(it->first, it->second);
+  }
+  NotifyLoad();
   return extracted;
 }
 
 size_t ServeSession::ExtractQueued(std::vector<ServeRequest>* out) {
   FLO_CHECK(out != nullptr);
+  const size_t first = out->size();
   const size_t drained = queue_.DrainInto(out);
   FLO_CHECK_GE(pending_requests_, drained);
   pending_requests_ -= drained;
+  for (size_t i = first; i < out->size(); ++i) {
+    RemovePending((*out)[i].key, 1);
+  }
+  NotifyLoad();
   return drained;
 }
 
@@ -469,13 +523,14 @@ SimTime ServeSession::TuningEtaFor(uint64_t key) const {
 
 void ServeSession::StartTuning(uint32_t batch_slot, SimTime now) {
   ++tuners_busy_;
-  tuning_keys_.insert(batch_pool_[batch_slot].key);
+  SetTuning(batch_pool_[batch_slot].key, true);
   // Build and cache the plan now; its cost lands on the tuning lane, so
   // the executor keeps serving warm batches meanwhile. By-value: against
   // a shared store, Plan()'s reference could dangle under concurrent
   // eviction by another engine.
   const size_t searches_before = engine_->tuner().search_count();
-  engine_->planner().PlanByValue(batch_pool_[batch_slot].requests.front().spec);
+  engine_->planner().PlanByValueForKey(batch_pool_[batch_slot].requests.front().spec,
+                                       batch_pool_[batch_slot].key);
   const size_t searches = std::max(engine_->tuner().search_count() - searches_before,
                                    batch_pool_[batch_slot].charged_searches);
   FinishTuningAt(batch_slot, TuneCostUs(searches), searches, now);
@@ -509,9 +564,9 @@ void ServeSession::StartTuningGroup(std::vector<uint32_t> group, SimTime now) {
     }
     searches = std::max(searches, batch_pool_[group[i]].charged_searches);
     ++tuners_busy_;
-    tuning_keys_.insert(batch_pool_[group[i]].key);
+    SetTuning(batch_pool_[group[i]].key, true);
     // The searches are warm now; this builds and caches the plan.
-    engine_->planner().PlanByValue(specs[i]);
+    engine_->planner().PlanByValueForKey(specs[i], batch_pool_[group[i]].key);
     FinishTuningAt(group[i], TuneCostUs(searches), searches, now);
   }
 }
@@ -525,27 +580,34 @@ void ServeSession::ExecuteBatch(uint32_t batch_slot, SimTime now) {
   executing_slot_ = batch_slot;
   ++report_.batches;
   pending_requests_ -= batch.requests.size();
+  RemovePending(batch.key, batch.requests.size());
   // Hit/miss is a property of the batch's plan at dispatch time: if the
   // plan was cold, every request of the batch waited on it — including
   // the ones whose Execute hits the entry the first request just built.
-  const bool warm_at_dispatch = !batch.tuned && engine_->plan_store().Contains(batch.key);
+  bool warm_at_dispatch = !batch.tuned;
   const size_t searches_before = engine_->tuner().search_count();
-  // A degraded batch (tuner retry budget exhausted) runs the search-free
-  // single-group safety plan: forced partition, no extra tiles — slower,
-  // but it needs no tuning. The forced spec has its own canonical
-  // fingerprint, so the memo and plan store never confuse it with the
-  // real plan.
-  ScenarioSpec spec = batch.requests.front().spec;
-  if (batch.degraded) {
-    spec.extra_tiles = 0;
-    spec.forced_partition = WavePartition::SingleGroup(1);
-  }
   // One canonical key means one spec, one seed, one deterministic
   // schedule: simulate once and charge the service per request. Fleet
   // runs replay the same spec thousands of times, so the deterministic
   // replay itself is memoized (the store lookup still happens per call).
-  const OverlapRun run =
-      config_.memoize_runs ? engine_->ExecuteMemoized(spec) : engine_->Execute(spec);
+  OverlapEngine::ServedRun run;
+  if (batch.degraded) {
+    // A degraded batch (tuner retry budget exhausted) runs the
+    // search-free single-group safety plan: forced partition, no extra
+    // tiles — slower, but it needs no tuning. The forced spec keeps its
+    // own canonical key, so the memo and plan store never confuse it
+    // with the real plan. The real plan's warmth is read first: the
+    // forced lookup may evict it from a bounded store.
+    warm_at_dispatch = warm_at_dispatch && engine_->plan_store().Contains(batch.key);
+    ScenarioSpec spec = batch.requests.front().spec;
+    spec.extra_tiles = 0;
+    spec.forced_partition = WavePartition::SingleGroup(1);
+    run = Replay(spec, engine_->planner().CanonicalKey(spec));
+  } else {
+    // The replay's own store lookup is the dispatch-time warmth: nothing
+    // touches the store between the two.
+    run = Replay(batch.requests.front().spec, batch.key);
+  }
   double service_us = run.total_us * static_cast<double>(batch.requests.size());
   const bool hit = warm_at_dispatch && run.plan_cache_hit;
   const bool cold = !hit;
@@ -573,6 +635,7 @@ void ServeSession::ExecuteBatch(uint32_t batch_slot, SimTime now) {
   report_.executor_busy_us += service_us;
   const SimTime finish = now + service_us;
   busy_until_ = finish;
+  NotifyLoad();
   batch.exec_start = now;
   batch.exec_hit = hit;
   if (Observing(config_)) {
@@ -594,6 +657,15 @@ void ServeSession::ExecuteBatch(uint32_t batch_slot, SimTime now) {
   record.slot = batch_slot;
   record.replica = replica_id_;
   events_->Push(finish, record);
+}
+
+OverlapEngine::ServedRun ServeSession::Replay(const ScenarioSpec& spec, uint64_t key) {
+  if (config_.memoize_runs) {
+    return engine_->ExecuteServed(spec, key);
+  }
+  // The full-replay path: the differential reference for the memo.
+  const OverlapRun run = engine_->Execute(spec);
+  return OverlapEngine::ServedRun{run.total_us, run.plan_cache_hit};
 }
 
 void ServeSession::OnBatchFinished(const EventRecord& record, SimTime now) {
@@ -686,9 +758,18 @@ void ServeSession::Dispatch(SimTime now) {
   // finished tuning, or a peer shipped the plan into the store) from the
   // waiting room first — even while the lane is busy with another key, or
   // they would strand behind it with the executor idle.
+  // Warmth is looked up once per distinct key: nothing in this loop
+  // touches the store, and a cold start can park hundreds of same-key
+  // batches here.
+  uint64_t checked_key = 0;
+  bool checked_warm = false;
   for (size_t i = 0; i < tune_wait_.size();) {
     const uint32_t s = tune_wait_[i];
-    if (IsWarm(batch_pool_[s].key)) {
+    if (i == 0 || batch_pool_[s].key != checked_key) {
+      checked_key = batch_pool_[s].key;
+      checked_warm = IsWarm(checked_key);
+    }
+    if (checked_warm) {
       tune_wait_.erase(tune_wait_.begin() + static_cast<Lane::difference_type>(i));
       MergeOrPark(&ready_, s);
     } else {

@@ -15,7 +15,11 @@
 // single-flight — a vetoed batch parks until its key turns warm, e.g.
 // when a peer ships the plan into this session's store), tuning_finished
 // announces a freshly cached plan (the publish point for plan shipping),
-// request_finished streams completions (autoscaling signals).
+// request_finished streams completions (autoscaling signals). An
+// Observer receives the state a fleet router places by — the session's
+// load and, per plan key, whether it is tuning or has requests pending —
+// as it changes, so placement reads an index instead of polling every
+// session per request.
 #ifndef SRC_SERVE_SERVE_SESSION_H_
 #define SRC_SERVE_SERVE_SESSION_H_
 
@@ -23,6 +27,7 @@
 #include <deque>
 #include <functional>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/overlap_engine.h"
@@ -36,6 +41,22 @@ namespace flo {
 
 class ServeSession {
  public:
+  // Push feed of the placement inputs (src/cluster's FleetPlanIndex).
+  // Calls arrive synchronously from inside the session call that made
+  // the change, tagged with the session's replica id; between session
+  // calls the last values pushed equal pending_requests(), busy_until(),
+  // IsTuningKey(key) and PendingKeyCount(key) > 0.
+  class Observer {
+   public:
+    virtual ~Observer() = default;
+    // pending_requests() or busy_until() changed.
+    virtual void OnLoad(int replica_id, size_t pending_requests, SimTime busy_until) = 0;
+    // IsTuningKey(key) flipped.
+    virtual void OnTuning(int replica_id, uint64_t key, bool tuning) = 0;
+    // PendingKeyCount(key) crossed zero.
+    virtual void OnPending(int replica_id, uint64_t key, bool pending) = 0;
+  };
+
   struct Hooks {
     // Called once before a cold batch's key starts tuning here. Return
     // false to veto (another replica owns the in-flight search); the batch
@@ -82,6 +103,11 @@ class ServeSession {
   ServeSession(OverlapEngine* engine, ServeConfig config, EventLoop* events,
                Hooks hooks = {}, int replica_id = -1);
 
+  // Attaches the placement-state feed (borrowed; must outlive the
+  // session). Attach before the first Admit: changes are pushed, never
+  // replayed. nullptr detaches.
+  void SetObserver(Observer* observer) { observer_ = observer; }
+
   // Admits one request and dispatches. `now` is the caller's simulated
   // time (the request's arrival as seen by this session).
   void Admit(ServeRequest request, SimTime now);
@@ -101,6 +127,8 @@ class ServeSession {
   bool IsTuningKey(uint64_t key) const { return tuning_keys_.count(key) != 0; }
   // Pending requests (queued, ready, or parked) batched around `key` —
   // the affinity signal for keys admitted but not yet tuning or warm.
+  // Counted by scanning the lanes: the reference the Observer feed (kept
+  // incrementally) is checked against, not a hot-path call.
   size_t PendingKeyCount(uint64_t key) const;
 
   OverlapEngine& engine() { return *engine_; }
@@ -204,6 +232,20 @@ class ServeSession {
   void EndReservation(SimTime now);
 
   bool IsWarm(uint64_t key) const;
+  // Observer feed. Add/RemovePending move `count` requests of `key` into
+  // or out of the pending set (queue, ready and tune-wait lanes);
+  // SetTuning flips tuning_keys_; NotifyLoad pushes the load inputs.
+  void AddPending(uint64_t key, size_t count);
+  void RemovePending(uint64_t key, size_t count);
+  void SetTuning(uint64_t key, bool tuning);
+  void NotifyLoad() const {
+    if (observer_ != nullptr) {
+      observer_->OnLoad(replica_id_, pending_requests_, busy_until_);
+    }
+  }
+  // One replay through the engine: the shared-memo serving path, or the
+  // full Execute when ServeConfig::memoize_runs is off.
+  OverlapEngine::ServedRun Replay(const ScenarioSpec& spec, uint64_t key);
   // The cold-tuning lane-pool size for this dispatch round: the static
   // config, or — adaptive mode — the observed cold-key pressure (distinct
   // cold keys in flight, parked, or at the rotation head), clamped to
@@ -229,6 +271,7 @@ class ServeSession {
   ServeConfig config_;
   EventLoop* events_;
   Hooks hooks_;
+  Observer* observer_ = nullptr;
   int replica_id_;
   uint32_t tuning_handler_ = 0;
   uint32_t finish_handler_ = 0;
@@ -246,6 +289,10 @@ class ServeSession {
   // Requests riding batches currently on a tuning lane (the batches live
   // in their finish events' slots, not in a lane) — still pending work.
   size_t tuning_requests_ = 0;
+  // Requests per key across the queue, ready and tune-wait lanes: the
+  // incremental form of PendingKeyCount behind Observer::OnPending.
+  // Batches between a pop and their next lane stay counted.
+  std::unordered_map<uint64_t, size_t> pending_by_key_;
   size_t pending_requests_ = 0;
   bool executor_free_ = true;
   int tuners_busy_ = 0;

@@ -56,6 +56,9 @@ struct TenantSummary {
 class ServeStats {
  public:
   void Record(RequestRecord record);
+  // Capacity for `records` records, for a caller that knows the count up
+  // front (a fleet merging its replicas' records).
+  void Reserve(size_t records) { records_.reserve(records); }
 
   size_t count() const { return records_.size(); }
   const std::vector<RequestRecord>& records() const { return records_; }

@@ -251,6 +251,34 @@ TEST(PlanStoreRecordTest, EraseDiscardsWithoutCountingEviction) {
   EXPECT_EQ(store.stats().evictions, 0u);
 }
 
+TEST(PlanStoreResidencyTest, ListenerSeesEveryResidencyChange) {
+  PlanStore store(/*capacity=*/2);
+  std::vector<std::pair<uint64_t, bool>> events;
+  store.SetResidencyListener(
+      [&events](uint64_t key, bool resident) { events.emplace_back(key, resident); });
+  store.Put(1, MarkedPlan(1));
+  store.Put(2, MarkedPlan(2));
+  store.Put(2, MarkedPlan(5));         // overwrite: still resident, no event
+  ASSERT_NE(store.Find(1), nullptr);   // lookups never fire
+  EXPECT_TRUE(store.Contains(2));
+  store.Put(3, MarkedPlan(3));         // evicts the LRU entry, key 2
+  EXPECT_TRUE(store.Erase(1));
+  EXPECT_FALSE(store.Erase(1));        // absent: no event
+  const std::string record = *store.ExportRecord(3);
+  store.Clear();
+  EXPECT_EQ(store.ImportRecords(record), 1u);
+  store.set_capacity(1);               // nothing over capacity: no event
+  const std::vector<std::pair<uint64_t, bool>> expected = {
+      {1, true}, {2, true}, {3, true}, {2, false}, {1, false}, {3, false}, {3, true}};
+  EXPECT_EQ(events, expected);
+  // Detached, and never carried into copies.
+  PlanStore copy = store;
+  store.SetResidencyListener(nullptr);
+  store.Put(4, MarkedPlan(4));
+  copy.Put(5, MarkedPlan(5));
+  EXPECT_EQ(events.size(), expected.size());
+}
+
 TEST(PlanStoreRecordTest, SnapshotTruncatedAtRecordBoundaryRejectedWhole) {
   PlanStore store;
   for (int i = 0; i < 3; ++i) {
