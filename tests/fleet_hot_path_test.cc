@@ -87,9 +87,11 @@ struct Audit {
   size_t evictions = 0;
 };
 
-// Serves `trace` and checks every placement the cluster makes against
-// FleetRouter::Place over snapshots built the old way, with an oracle
-// router of the same policy fed the same decisions.
+// Serves `trace` twice on one cluster (the second run starts from the
+// first run's stores and replicas) and checks every placement against
+// FleetRouter::Place over ServingCluster::Snapshots(), with an oracle
+// router of the same policy fed the same decisions. Returns the first
+// run's report.
 FleetReport RunAudited(const ClusterConfig& config, const std::vector<ServeRequest>& trace,
                        Audit* audit) {
   ServingCluster fleet(Make4090Cluster(4), config, {}, EngineOptions{.jitter = false});
@@ -106,6 +108,8 @@ FleetReport RunAudited(const ClusterConfig& config, const std::vector<ServeReque
     }
   });
   FleetReport report = fleet.Run(trace);
+  const FleetReport rerun = fleet.Run(trace);
+  EXPECT_EQ(rerun.stats.count(), trace.size());
   for (const auto& replica : fleet.replicas()) {
     audit->evictions += replica->store()->stats().evictions;
   }
