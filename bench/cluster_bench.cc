@@ -467,6 +467,9 @@ bool Run(const BenchArgs& args) {
       ObsConfig obs_config;
       obs_config.enabled = true;
       obs_config.checkpoint_interval_us = 100000.0;
+      // Traced for per-tenant p99 attribution (tools/attribute_slo.py):
+      // a run this small can keep every request, and a p99 needs them.
+      obs_config.trace_sample_rate = 1.0;
       ObsPlane obs(obs_config);
       RunSchedFleet(setup.hardware, sched_trace, /*sched_on=*/true, 0, false, &obs);
       if (!obs.WriteTrace(args.trace)) {
@@ -526,6 +529,7 @@ bool Run(const BenchArgs& args) {
       ObsConfig obs_config;
       obs_config.enabled = true;
       obs_config.checkpoint_interval_us = pre.check_interval_us;
+      obs_config.trace_sample_rate = 1.0;  // attribution, as above
       ObsPlane obs(obs_config);
       RunPrespawnFleet(setup.hardware, pre, /*predictive=*/true, 1.0, 0, false, &obs);
       if (!obs.WriteTrace(prespawn_trace_path)) {

@@ -384,12 +384,14 @@ bool Run(const BenchArgs& args) {
   // to the untraced one (attaching the plane cannot perturb the
   // simulation), and the traced lane must hold >= 95% of the untraced
   // events/s. Wall noise on shared machines swings runs by +-10-20%, an
-  // order of magnitude above the plane's true cost (~1-2% at the default
-  // ring capacity), so the overhead estimate is the MINIMUM ratio over
-  // back-to-back untraced/traced pairs — each pair shares one noise
-  // environment, noise only ever slows a lane, and the least-contaminated
-  // pair is the tightest bound on real cost. Stops early once a pair
-  // clears the bar.
+  // order of magnitude above the plane's true cost (~2% with the default
+  // 1-in-16 head sampling of request spans: every request still pays a
+  // hash, its registry updates and flight-recorder stores, a sampled one
+  // also its per-replica ring stores), so the overhead estimate is the
+  // MINIMUM ratio over back-to-back untraced/traced pairs — each pair
+  // shares one noise environment, noise only ever slows a lane, and the
+  // least-contaminated pair is the tightest bound on real cost. Stops
+  // early once a pair clears the bar.
   ObsConfig obs_config;
   obs_config.enabled = true;
   obs_config.checkpoint_interval_us = 100000.0;  // 100ms sim-clock rows

@@ -21,7 +21,6 @@ void FleetPlanIndex::AddReplica(int id) {
   const size_t needed = (rows_.size() + kWordBits - 1) / kWordBits;
   if (needed > words()) {
     accepting_.resize(needed, 0);
-    idle_.resize(needed, 0);
     for (auto& [key, bits] : keys_) {
       bits.resident.resize(needed, 0);
       bits.tuning.resize(needed, 0);
@@ -29,7 +28,6 @@ void FleetPlanIndex::AddReplica(int id) {
     }
   }
   Assign(&accepting_, id, true);
-  Assign(&idle_, id, true);  // nothing pending, never busy
 }
 
 void FleetPlanIndex::Assign(Bits* bits, int id, bool value) {
@@ -57,11 +55,6 @@ void FleetPlanIndex::SetResident(int id, uint64_t key, bool resident) {
 
 void FleetPlanIndex::ResetSessions() {
   std::fill(rows_.begin(), rows_.end(), Row{});
-  // Every row is idle again, and the run clock restarts.
-  for (size_t id = 0; id < rows_.size(); ++id) {
-    Assign(&idle_, static_cast<int>(id), true);
-  }
-  wakeups_ = {};
   for (auto& [key, bits] : keys_) {
     std::fill(bits.tuning.begin(), bits.tuning.end(), 0);
     std::fill(bits.pending.begin(), bits.pending.end(), 0);
@@ -72,23 +65,6 @@ void FleetPlanIndex::OnLoad(int replica_id, size_t pending_requests, SimTime bus
   Row& row = rows_[static_cast<size_t>(replica_id)];
   row.pending = pending_requests;
   row.busy_until = busy_until;
-  // Idle again only once the horizon passes (AdvanceIdle decides, against
-  // the placement's clock) and only while nothing is pending.
-  Assign(&idle_, replica_id, false);
-  if (pending_requests == 0) {
-    wakeups_.emplace(busy_until, replica_id);
-  }
-}
-
-void FleetPlanIndex::AdvanceIdle(SimTime now) const {
-  while (!wakeups_.empty() && wakeups_.top().first <= now) {
-    const auto [busy_until, id] = wakeups_.top();
-    wakeups_.pop();
-    const Row& row = rows_[static_cast<size_t>(id)];
-    if (row.pending == 0 && row.busy_until == busy_until) {
-      Assign(&idle_, id, true);
-    }
-  }
 }
 
 void FleetPlanIndex::OnTuning(int replica_id, uint64_t key, bool tuning) {
@@ -129,18 +105,8 @@ int FleetPlanIndex::LeastLoaded(uint64_t key, Tier tier, SimTime now,
     }
     return candidates;
   };
-  // An idle candidate has backlog 0, the least there is, and the scan
-  // below would keep the first one it met: the lowest idle id wins.
-  AdvanceIdle(now);
-  for (size_t w = 0; w < words(); ++w) {
-    const uint64_t idle = candidates_in(w) & idle_[w];
-    if (idle != 0) {
-      return static_cast<int>(w) * kWordBits + std::countr_zero(idle);
-    }
-  }
-  // Every candidate is busy: least backlog in ascending id order, a
-  // strict '<' keeping ties with the earliest replica, as FleetRouter's
-  // scan over snapshots does.
+  // Least backlog in ascending id order, a strict '<' keeping ties with
+  // the earliest replica, as FleetRouter's scan over snapshots does.
   int best = -1;
   double best_load = 0.0;
   for (size_t w = 0; w < words(); ++w) {

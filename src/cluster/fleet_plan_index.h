@@ -12,21 +12,15 @@
 //   warm    = resident and not tuning
 //   tuning  = tuning
 //   pending = pending requests of the key
-// A placement reads one key entry and makes no store or session call.
-// An idle bitset — replicas with nothing pending whose busy horizon has
-// passed, i.e. backlog exactly 0 — answers it in O(fleet / 64) words
-// whenever a candidate is idle: zero is the least backlog there is, so
-// the lowest idle id is the scan's own winner. Only when every candidate
-// is busy does it scan the candidates' rows in id order.
+// A placement reads one key entry and makes no store or session call:
+// it scans the candidates' rows in id order, the order FleetRouter's
+// scan over snapshots uses.
 #ifndef SRC_CLUSTER_FLEET_PLAN_INDEX_H_
 #define SRC_CLUSTER_FLEET_PLAN_INDEX_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/serve/serve_session.h"
@@ -40,7 +34,7 @@ class FleetPlanIndex : public ServeSession::Observer {
   enum class Tier { kWarm, kTuning, kPending, kAny };
 
   // Appends the row for replica `id`, which must equal the row count:
-  // accepting, idle, holding nothing.
+  // accepting, holding nothing.
   void AddReplica(int id);
   void SetAccepting(int id, bool accepting);
   void SetResident(int id, uint64_t key, bool resident);
@@ -58,8 +52,7 @@ class FleetPlanIndex : public ServeSession::Observer {
   // max(0, busy_until - now) + pending x cost_estimate_us, ties to the
   // lowest id; `avoid_id` (when >= 0) is never chosen. -1 when no
   // replica qualifies. Bit for bit the choice FleetRouter::Place makes
-  // among the same replicas' snapshots. `now` must not decrease between
-  // calls within a run (it advances the idle set).
+  // among the same replicas' snapshots.
   int LeastLoaded(uint64_t key, Tier tier, SimTime now, double cost_estimate_us,
                   int avoid_id) const;
   // Round-robin successor: the lowest accepting id above `after`,
@@ -82,21 +75,10 @@ class FleetPlanIndex : public ServeSession::Observer {
   KeyBits& BitsFor(uint64_t key);
   static void Assign(Bits* bits, int id, bool value);
   size_t words() const { return accepting_.size(); }
-  // Moves every row whose busy horizon has passed by `now`, with nothing
-  // pending, into idle_.
-  void AdvanceIdle(SimTime now) const;
 
   std::vector<Row> rows_;
   Bits accepting_;
   std::unordered_map<uint64_t, KeyBits> keys_;
-  // Rows with backlog exactly 0 as of the last AdvanceIdle: pending == 0
-  // and busy_until <= now. A cache over rows_, hence mutable.
-  mutable Bits idle_;
-  // (busy_until, id) of rows that reported nothing pending with a busy
-  // horizon still to pass; entries a later OnLoad outdated are dropped
-  // when they surface.
-  using Wakeup = std::pair<SimTime, int>;
-  mutable std::priority_queue<Wakeup, std::vector<Wakeup>, std::greater<Wakeup>> wakeups_;
 };
 
 }  // namespace flo

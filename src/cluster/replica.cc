@@ -21,6 +21,7 @@ void Replica::StartSession(const ServeConfig& config, EventLoop* events,
   searches_at_session_start_ = engine_.tuner().search_count();
   health_ = Health::kHealthy;  // injected faults do not leak across runs
   session_ = std::make_unique<ServeSession>(&engine_, config, events, std::move(hooks), id_);
+  NotifyAccepting();
 }
 
 size_t Replica::SearchesThisRun() {
@@ -32,6 +33,28 @@ void Replica::Retire(SimTime now) {
   FLO_CHECK(session_ == nullptr || session_->idle());
   retired_ = true;
   retired_us_ = now;
+  NotifyAccepting();
+}
+
+void Replica::SetHealth(Health health) {
+  health_ = health;
+  NotifyAccepting();
+}
+
+void Replica::BeginDrain() {
+  draining_ = true;
+  NotifyAccepting();
+}
+
+void Replica::SetAcceptingListener(std::function<void(bool)> listener) {
+  accepting_listener_ = std::move(listener);
+  NotifyAccepting();
+}
+
+void Replica::NotifyAccepting() {
+  if (accepting_listener_) {
+    accepting_listener_(accepting());
+  }
 }
 
 }  // namespace flo

@@ -9,6 +9,7 @@
 #define SRC_CLUSTER_REPLICA_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 
 #include "src/core/overlap_engine.h"
@@ -55,9 +56,12 @@ class Replica {
   bool draining() const { return draining_; }
   bool retired() const { return retired_; }
   Health health() const { return health_; }
-  void SetHealth(Health health) { health_ = health; }
-  void BeginDrain() { draining_ = true; }
+  void SetHealth(Health health);
+  void BeginDrain();
   void Retire(SimTime now);
+  // Called with accepting() whenever a call above, or StartSession, may
+  // have changed it: the one feed for anything that mirrors it.
+  void SetAcceptingListener(std::function<void(bool)> listener);
 
   SimTime spawned_us() const { return spawned_us_; }
   // -1 while the replica is still active.
@@ -74,6 +78,9 @@ class Replica {
   Health health_ = Health::kHealthy;
   SimTime spawned_us_ = 0.0;
   SimTime retired_us_ = -1.0;
+  std::function<void(bool)> accepting_listener_;
+
+  void NotifyAccepting();
 };
 
 }  // namespace flo

@@ -104,6 +104,8 @@ Replica* ServingCluster::SpawnReplica(SimTime now) {
   // below already lands through it.
   replica->store()->SetResidencyListener(
       [this, id](uint64_t key, bool resident) { index_.SetResident(id, key, resident); });
+  replica->SetAcceptingListener(
+      [this, id](bool accepting) { index_.SetAccepting(id, accepting); });
   live_.push_back(replica);
   // Subscribing bootstraps the fresh store (and tuner) with every
   // published plan: a replica spawned mid-burst starts warm — both tiers
@@ -130,10 +132,6 @@ Replica* ServingCluster::FindReplica(int id) {
   return id >= 0 && static_cast<size_t>(id) < replicas_.size()
              ? replicas_[static_cast<size_t>(id)].get()
              : nullptr;
-}
-
-void ServingCluster::SyncAccepting(Replica* replica) {
-  index_.SetAccepting(replica->id(), replica->accepting());
 }
 
 ServeSession::Hooks ServingCluster::HooksFor(Replica* replica) {
@@ -244,16 +242,11 @@ int ServingCluster::Place(uint64_t key, SimTime now, int avoid_id) {
 uint64_t ServingCluster::IngestKey(const ScenarioSpec& spec) {
   StableHash hash;
   spec.MixInto(hash);
-  const bool imbalanced = spec.imbalanced();
   const auto [it, inserted] = ingest_keys_.try_emplace(hash.value());
   if (inserted) {
-    it->second = IngestedKey{imbalanced, keyer_.KeyFromSpecHash(hash, imbalanced)};
-  } else if (it->second.imbalanced != imbalanced) {
-    // Two specs sharing a fingerprint but not a shape count: key this one
-    // in full rather than trust the memo.
-    return keyer_.KeyFromSpecHash(hash, imbalanced);
+    it->second = keyer_.KeyFromSpecHash(hash, spec.imbalanced());
   }
-  return it->second.key;
+  return it->second;
 }
 
 void ServingCluster::PlaceRequest(ServeRequest request, SimTime now) {
@@ -300,7 +293,6 @@ void ServingCluster::DispatchAll(SimTime now) {
 void ServingCluster::MaybeRetire(Replica* replica, SimTime now) {
   if (replica->draining() && !replica->retired() && replica->session()->idle()) {
     replica->Retire(now);
-    SyncAccepting(replica);
     live_.erase(std::find(live_.begin(), live_.end(), replica));
     shipper_.Unsubscribe(replica->id());
     ++drains_;
@@ -380,7 +372,6 @@ void ServingCluster::AutoscaleCheck(SimTime now) {
         EmitFleetInstant(config_.serve.obs, SpanKind::kReplicaDrain, now,
                          static_cast<uint64_t>(youngest_accepting->id()), 0);
         youngest_accepting->BeginDrain();
-        SyncAccepting(youngest_accepting);
         MaybeRetire(youngest_accepting, now);
       }
       break;
@@ -500,7 +491,6 @@ FleetReport ServingCluster::Run(RequestCursor* cursor) {
         replica->session()->SetFaultPolicy(ServeSession::FaultPolicy{
             config_.faults.tuner_retry_budget, config_.faults.retry_backoff_base_us,
             config_.faults.retry_backoff_jitter_us, config_.faults.seed});
-        SyncAccepting(replica.get());  // StartSession resets health
         accepting += replica->accepting() ? 1 : 0;
       }
     }
@@ -664,7 +654,6 @@ void ServingCluster::ApplyFault(const FaultEvent& event, SimTime now) {
       EmitFleetInstant(obs, SpanKind::kFaultCrash, now, id,
                        static_cast<uint64_t>(event.duration_us));
       replica->SetHealth(Replica::Health::kCrashed);
-      SyncAccepting(replica);
       session->SetStalled(true);
       // Teardown: evacuate the backlog, lose the store, release every
       // in-flight search the dead replica owned, and leave the shipper's
@@ -685,7 +674,6 @@ void ServingCluster::ApplyFault(const FaultEvent& event, SimTime now) {
       EmitFleetInstant(obs, SpanKind::kFaultInject, now, id,
                        static_cast<uint64_t>(event.kind));
       replica->SetHealth(Replica::Health::kHung);
-      SyncAccepting(replica);
       session->SetStalled(true);
       // The detection deadline comes from the recovery policy, not the
       // event: a hang shorter than the deadline resolves invisibly.
@@ -707,7 +695,6 @@ void ServingCluster::ApplyFault(const FaultEvent& event, SimTime now) {
       // The straggler keeps executing (slowly) but is unroutable until
       // the window closes.
       replica->SetHealth(Replica::Health::kStraggling);
-      SyncAccepting(replica);
       session->SetCostMultiplier(event.magnitude);
       push_restore(FaultKind::kSlowdown, replica->id(), event.duration_us);
       break;
@@ -747,7 +734,6 @@ void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
           replica->id(), replica->store(), &replica->engine().tuner());
       ++fault_report_.replica_restarts;
       replica->SetHealth(Replica::Health::kHealthy);
-      SyncAccepting(replica);
       replica->session()->SetStalled(false);
       replica->session()->Dispatch(now);
       break;
@@ -756,7 +742,6 @@ void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
         return;
       }
       replica->SetHealth(Replica::Health::kHealthy);
-      SyncAccepting(replica);
       replica->session()->SetStalled(false);
       replica->session()->Dispatch(now);
       break;
@@ -765,7 +750,6 @@ void ServingCluster::OnHealthRestore(const EventRecord& record, SimTime now) {
         return;
       }
       replica->SetHealth(Replica::Health::kHealthy);
-      SyncAccepting(replica);
       replica->session()->SetCostMultiplier(1.0);
       replica->session()->Dispatch(now);
       break;

@@ -199,9 +199,6 @@ class ServingCluster {
   // O(1): replica ids are dense indices into replicas_.
   Replica* FindReplica(int id);
   ServeSession::Hooks HooksFor(Replica* replica);
-  // Mirrors Replica::accepting() into the plan index; called after every
-  // drain, retirement, health change and session start.
-  void SyncAccepting(Replica* replica);
   // One router decision off the plan index (reported to the placement
   // observer); -1 when no replica accepts.
   int Place(uint64_t key, SimTime now, int avoid_id);
@@ -242,13 +239,9 @@ class ServingCluster {
   Tuner keyer_tuner_;
   PlanStore keyer_store_;
   OverlapPlanner keyer_;
-  // IngestKey's memo: spec fingerprint (ScenarioSpec::MixInto) -> the
-  // spec's imbalanced() and its canonical key.
-  struct IngestedKey {
-    bool imbalanced = false;
-    uint64_t key = 0;
-  };
-  std::unordered_map<uint64_t, IngestedKey> ingest_keys_;
+  // IngestKey's memo: spec fingerprint (ScenarioSpec::MixInto, which
+  // covers the shape count behind imbalanced()) -> canonical key.
+  std::unordered_map<uint64_t, uint64_t> ingest_keys_;
 
   FleetRouter router_;
   // Placement state of every replica ever spawned; declared before

@@ -49,8 +49,9 @@ class OverlapPlanner {
   uint64_t CanonicalKey(const ScenarioSpec& spec) const;
   // CanonicalKey's second half: `spec_hash` is a fresh StableHash after
   // spec.MixInto. The key is a pure function of that state and
-  // spec.imbalanced(), so a caller that sees the same specs over and over
-  // (a fleet's ingestion) may memoize on the pair and skip this half.
+  // spec.imbalanced(), which the fingerprint already fixes (it mixes the
+  // shape count), so a caller that sees the same specs over and over (a
+  // fleet's ingestion) may memoize on the fingerprint and skip this half.
   uint64_t KeyFromSpecHash(StableHash spec_hash, bool imbalanced) const;
 
   // The tuner search a Build for `spec` would perform — a single-shape

@@ -34,11 +34,21 @@ struct ObsConfig {
   // them cannot perturb the simulation.
   double checkpoint_interval_us = 0.0;
   // Per-track (replica) span ring capacity: a 1M-request fleet run keeps
-  // the last N spans per replica, so trace size is bounded by design
+  // the last N traced spans per replica, so trace size is bounded by design
   // (SpanTracer reports how many were dropped). The default keeps a
   // 128-replica fleet's rings ~6MB total — deep rings (8192+) push the
   // working set past the cache and triple the traced run's overhead.
   size_t span_ring_capacity = 1024;
+  // Head sampling of the per-request data plane: a request's request and
+  // queue spans reach the tracer only when a deterministic hash of its id
+  // falls below this fraction, and a batch's execute and plan hit/miss
+  // spans only when the batch holds such a request (1.0 keeps every
+  // request). Tuning, planner, fleet, fault and sched spans are always
+  // kept, and the registry and flight recorder see every span either
+  // way. Sampling spreads the retained requests over the whole run
+  // instead of the last ring's worth, and keeps tracing's per-request
+  // cost to a hash for the requests it skips.
+  double trace_sample_rate = 1.0 / 16;
   // Flight-recorder ring capacities (events / spans).
   size_t flight_ring_capacity = 256;
 };

@@ -1,5 +1,6 @@
 #include "src/obs/obs_plane.h"
 
+#include <cmath>
 #include <fstream>
 #include <utility>
 
@@ -47,6 +48,11 @@ ObsPlane::ObsPlane(ObsConfig config)
   ids_.replicas_accepting = registry_.Gauge("fleet.replicas_accepting");
   if (enabled() && config_.flight_recorder) {
     recorder_.InstallCheckHook();
+  }
+  FLO_CHECK(config_.trace_sample_rate > 0.0) << "trace_sample_rate must be positive";
+  sample_all_ = config_.trace_sample_rate >= 1.0;
+  if (!sample_all_) {
+    sample_below_ = static_cast<uint64_t>(std::ldexp(config_.trace_sample_rate, 64));
   }
 }
 
@@ -108,7 +114,7 @@ void ObsPlane::OnEvent(const EventRecord& record, SimTime now) {
   }
 }
 
-void ObsPlane::Emit(const SpanRecord& span) {
+void ObsPlane::Emit(const SpanRecord& span, bool trace) {
   if (!enabled()) {
     return;
   }
@@ -116,7 +122,7 @@ void ObsPlane::Emit(const SpanRecord& span) {
   if (config_.flight_recorder) {
     recorder_.OnSpan(span);
   }
-  if (tracing()) {
+  if (trace && tracing()) {
     tracer_.Emit(span);
   }
   if (!metrics_on()) {

@@ -37,6 +37,7 @@
 #include "src/obs/span.h"
 #include "src/obs/span_tracer.h"
 #include "src/sim/event_loop.h"
+#include "src/util/rng.h"
 
 namespace flo {
 
@@ -72,10 +73,18 @@ class ObsPlane {
   // totals (tuner search counts, plan-store stats) into the registry.
   void AddPoller(std::function<void(MetricsRegistry&)> poller);
 
-  // Records a span: flight recorder, tracer ring, and the kind's registry
+  // Whether request `id`'s lifecycle spans reach the tracer
+  // (ObsConfig::trace_sample_rate). A pure function of the id and the
+  // rate, so reruns and every replica sample the same requests.
+  bool TracesRequest(int64_t id) const {
+    return sample_all_ || Rng(static_cast<uint64_t>(id)).NextU64() < sample_below_;
+  }
+
+  // Records a span: flight recorder, tracer ring (unless `trace` is false:
+  // a request or batch span head sampling skips), and the kind's registry
   // counters/histograms. Call sites guard with enabled() so the disabled
   // cost is one branch.
-  void Emit(const SpanRecord& span);
+  void Emit(const SpanRecord& span, bool trace = true);
 
   // Pre-registered metric ids for the serving emission sites.
   struct ServeMetrics {
@@ -140,6 +149,9 @@ class ObsPlane {
   std::vector<std::function<void(MetricsRegistry&)>> pollers_;
   SimTime next_checkpoint_us_ = 0.0;
   bool checkpoints_armed_ = false;
+  // TracesRequest's cut: hashes below sample_below_ are traced.
+  bool sample_all_ = true;
+  uint64_t sample_below_ = 0;
 };
 
 }  // namespace flo

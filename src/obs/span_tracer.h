@@ -34,7 +34,8 @@ class SpanTracer {
     if (ring.buffer.size() < capacity_) {
       ring.buffer.push_back(record);
     } else {
-      ring.buffer[ring.next % capacity_] = record;
+      ring.buffer[ring.oldest] = record;
+      ring.oldest = ring.oldest + 1 == capacity_ ? 0 : ring.oldest + 1;
       ++dropped_;
     }
     ++ring.next;
@@ -58,6 +59,7 @@ class SpanTracer {
   struct Ring {
     std::vector<SpanRecord> buffer;
     uint64_t next = 0;  // total spans ever pushed to this ring
+    size_t oldest = 0;  // once full: the slot the next span overwrites
   };
 
   size_t capacity_;

@@ -8,10 +8,6 @@
 
 namespace flo {
 
-RequestQueue::RequestQueue(Keyer keyer) : keyer_(std::move(keyer)) {
-  FLO_CHECK(keyer_ != nullptr);
-}
-
 RequestQueue::Lane& RequestQueue::LaneFor(ServeRequest* request) {
   if (request->tenant_id == 0) {
     request->tenant_id = InternTenant(request->tenant);  // hand-built request
@@ -36,9 +32,7 @@ RequestQueue::Lane& RequestQueue::LaneFor(ServeRequest* request) {
 }
 
 void RequestQueue::Admit(ServeRequest request) {
-  if (request.key == 0) {
-    request.key = keyer_(request.spec);
-  }
+  FLO_CHECK_NE(request.key, 0u) << "request admitted without its plan key";
   ++key_depth_[request.key];
   Lane& lane = LaneFor(&request);
   lane.queue.push_back(std::move(request));

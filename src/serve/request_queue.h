@@ -29,13 +29,6 @@ namespace flo {
 
 class RequestQueue {
  public:
-  // Maps a spec to its plan-compatibility key (typically
-  // OverlapPlanner::CanonicalKey). A request arriving with its key already
-  // set (ServeRequest::key, filled at fleet ingestion) is not re-keyed;
-  // otherwise the key is computed once, at admission, and stored on the
-  // request.
-  using Keyer = std::function<uint64_t(const ScenarioSpec&)>;
-
   // A non-empty lane's head, as seen by a LanePicker: the oldest queued
   // request's key and arrival plus the lane's identity and depth. Heads
   // are presented in lane (alphabetical tenant) order.
@@ -53,12 +46,13 @@ class RequestQueue {
   // historical round-robin rotation.
   using LanePicker = std::function<size_t(const std::vector<LaneHead>&)>;
 
-  explicit RequestQueue(Keyer keyer);
-
   // Replaces round-robin rotation with scheduler-ranked lane choice for
   // PeekKey/PopBatch/PreviewBatch. Pass nullptr to restore rotation.
   void SetLanePicker(LanePicker picker) { picker_ = std::move(picker); }
 
+  // `request.key` must hold its plan-compatibility key
+  // (OverlapPlanner::CanonicalKey, computed by the caller once per
+  // request); the queue batches by it and never re-keys.
   void Admit(ServeRequest request);
 
   bool empty() const { return size_ == 0; }
@@ -134,7 +128,6 @@ class RequestQueue {
   // Pops the batch formed around lane `chosen`'s head into *out.
   uint64_t PopAt(size_t chosen, int max_batch, std::vector<ServeRequest>* out);
 
-  Keyer keyer_;
   LanePicker picker_;
   // Scratch for building the picker's head list without reallocating.
   mutable std::vector<LaneHead> heads_scratch_;

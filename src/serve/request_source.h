@@ -36,7 +36,7 @@ struct ServeRequest {
   int retries = 0;
   // The spec's canonical plan key (OverlapPlanner::CanonicalKey), computed
   // once at ingestion and reused by the queue, the plan store and the
-  // replay memo. 0 = not computed yet; RequestQueue::Admit fills it in
+  // replay memo. 0 = not computed yet; ServeSession::Admit fills it in
   // for hand-built requests.
   uint64_t key = 0;
 };

@@ -45,8 +45,7 @@ ServeSession::ServeSession(OverlapEngine* engine, ServeConfig config, EventLoop*
       config_(config),
       events_(events),
       hooks_(std::move(hooks)),
-      replica_id_(replica_id),
-      queue_([this](const ScenarioSpec& spec) { return engine_->planner().CanonicalKey(spec); }) {
+      replica_id_(replica_id) {
   FLO_CHECK(engine_ != nullptr);
   FLO_CHECK(events_ != nullptr);
   FLO_CHECK_GT(config_.max_batch, 0);
@@ -639,6 +638,9 @@ void ServeSession::ExecuteBatch(uint32_t batch_slot, SimTime now) {
   batch.exec_start = now;
   batch.exec_hit = hit;
   if (Observing(config_)) {
+    batch.traced = std::any_of(
+        batch.requests.begin(), batch.requests.end(),
+        [this](const ServeRequest& request) { return config_.obs->TracesRequest(request.id); });
     // Plan-store outcome at dispatch time, as an instant on this replica.
     SpanRecord span;
     span.kind = hit ? SpanKind::kPlanHit : SpanKind::kPlanMiss;
@@ -648,7 +650,7 @@ void ServeSession::ExecuteBatch(uint32_t batch_slot, SimTime now) {
     span.arg = batch.requests.size();
     span.replica = replica_id_;
     span.flags = hit ? 1 : 0;
-    config_.obs->Emit(span);
+    config_.obs->Emit(span, batch.traced);
   }
   EventRecord record;
   record.type = EventType::kBatchFinished;
@@ -695,21 +697,22 @@ void ServeSession::OnBatchFinished(const EventRecord& record, SimTime now) {
     span.end_us = finish;
     span.id = batch.key;
     span.arg = batch.requests.size();
-    obs.Emit(span);
+    obs.Emit(span, batch.traced);
     // Per-request lifecycle spans: the request's full arrival->completion
     // interval, then its queueing prefix (same id, so the trace viewer
     // nests queue inside request).
     span.arg = static_cast<uint64_t>(batch_size);
     for (const ServeRequest& request : batch.requests) {
+      const bool traced = batch.traced && obs.TracesRequest(request.id);
       span.id = static_cast<uint64_t>(request.id);
       span.tenant = request.tenant_id;
       span.kind = SpanKind::kRequest;
       span.start_us = request.arrival_us;
       span.end_us = finish;
-      obs.Emit(span);
+      obs.Emit(span, traced);
       span.kind = SpanKind::kQueue;
       span.end_us = start;
-      obs.Emit(span);
+      obs.Emit(span, traced);
     }
   }
   finished_scratch_.clear();

@@ -178,8 +178,11 @@ class ServeSession {
     // Routed through the cold-plan path: its requests waited on tuning.
     bool tuned = false;
     // Execution context, set by ExecuteBatch for the finish event.
+    // traced: the batch holds a request the obs plane's head sampling
+    // traces, so its execute and plan hit/miss spans reach the tracer.
     SimTime exec_start = 0.0;
     bool exec_hit = false;
+    bool traced = false;
     // Fault-recovery state (src/fault). A cancelled batch's requests were
     // evacuated (replica crash); its pending finish event completes as a
     // no-op and releases the slot. tune_failed marks an in-flight search

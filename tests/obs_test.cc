@@ -158,6 +158,7 @@ TEST(ObsSpanTest, SpansNestAndHaveNonNegativeDurations) {
   const auto trace = MixedTrace(3, 30);
   ObsConfig config = TracedConfig();
   config.span_ring_capacity = 1 << 16;  // retain everything: nesting checks need both ends
+  config.trace_sample_rate = 1.0;       // and every request's spans
   ObsPlane obs(config);
   const FleetReport report = RunTracedFleet(trace, 3, 1, &obs);
   ASSERT_EQ(obs.tracer().dropped(), 0u);
@@ -199,7 +200,9 @@ TEST(ObsSpanTest, ServeLoopEmitsLifecycleSpansStandalone) {
     GTEST_SKIP() << "observability compiled out";
   }
   const auto trace = MixedTrace(2, 15);
-  ObsPlane obs(TracedConfig());
+  ObsConfig obs_config = TracedConfig();
+  obs_config.trace_sample_rate = 1.0;  // span counts below are per request and batch
+  ObsPlane obs(obs_config);
   OverlapEngine engine(Make4090Cluster(4), {}, EngineOptions{.jitter = false});
   ServeConfig config;
   config.obs = &obs;
@@ -221,6 +224,61 @@ TEST(ObsSpanTest, ServeLoopEmitsLifecycleSpansStandalone) {
   EXPECT_EQ(by_kind[SpanKind::kPlanMiss], static_cast<size_t>(report.cold_batches));
   EXPECT_EQ(by_kind[SpanKind::kPlanHit] + by_kind[SpanKind::kPlanMiss],
             static_cast<size_t>(report.batches));
+}
+
+TEST(ObsSpanTest, HeadSamplingKeepsWholeRequestsAndCountsEveryOne) {
+  if (!kObsCompiledIn) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  const auto trace = MixedTrace(3, 200);
+  ObsConfig config = TracedConfig();
+  config.span_ring_capacity = 1 << 16;
+  config.trace_sample_rate = 0.25;
+  ObsPlane obs(config);
+  const FleetReport report = RunTracedFleet(trace, 3, 1, &obs);
+  ASSERT_EQ(obs.tracer().dropped(), 0u);
+
+  size_t sampled = 0;
+  for (const ServeRequest& request : trace) {
+    sampled += obs.TracesRequest(request.id) ? 1 : 0;
+  }
+  // A hash cut, not a stride: about a quarter of the requests.
+  EXPECT_GT(sampled, trace.size() / 8);
+  EXPECT_LT(sampled, trace.size() / 2);
+
+  size_t request_spans = 0;
+  size_t queue_spans = 0;
+  for (size_t track = 0; track < obs.tracer().track_count(); ++track) {
+    std::vector<double> execute_ends;
+    for (const SpanRecord& span : obs.tracer().TrackSpans(track)) {
+      if (span.kind == SpanKind::kExecute) {
+        execute_ends.push_back(span.end_us);
+      }
+    }
+    for (const SpanRecord& span : obs.tracer().TrackSpans(track)) {
+      if (span.kind != SpanKind::kRequest && span.kind != SpanKind::kQueue) {
+        continue;
+      }
+      EXPECT_TRUE(obs.TracesRequest(static_cast<int64_t>(span.id))) << "id=" << span.id;
+      if (span.kind == SpanKind::kQueue) {
+        ++queue_spans;
+        continue;
+      }
+      ++request_spans;
+      // The batch that finished the request kept its execute span.
+      EXPECT_NE(std::find(execute_ends.begin(), execute_ends.end(), span.end_us),
+                execute_ends.end());
+    }
+  }
+  EXPECT_EQ(request_spans, sampled);
+  EXPECT_EQ(queue_spans, sampled);
+  // The registry still counts every request.
+  EXPECT_EQ(obs.metrics().CounterValue(obs.ids().requests), report.stats.count());
+
+  // The sample is a pure function of the ids: a rerun keeps the same spans.
+  ObsPlane again(config);
+  RunTracedFleet(trace, 3, 1, &again);
+  EXPECT_EQ(again.TraceJson(), obs.TraceJson());
 }
 
 TEST(ObsSpanTest, TraceJsonIsChromeTraceShaped) {

@@ -171,17 +171,17 @@ TEST(RequestSourceTest, CrlfTraceFilesParse) {
 
 // --- RequestQueue -----------------------------------------------------------
 
-uint64_t ShapeKeyer(const ScenarioSpec& spec) {
-  return static_cast<uint64_t>(spec.shapes[0].m);
-}
-
+// The queue batches by the key its caller computed; the GEMM's m stands in
+// for the canonical key here.
 ServeRequest MakeReq(int64_t id, const std::string& tenant, double arrival, int64_t m) {
-  return {id, tenant, arrival,
-          ScenarioSpec::Overlap(GemmShape{m, 64, 64}, CommPrimitive::kAllReduce)};
+  ServeRequest request{id, tenant, arrival,
+                       ScenarioSpec::Overlap(GemmShape{m, 64, 64}, CommPrimitive::kAllReduce)};
+  request.key = static_cast<uint64_t>(m);
+  return request;
 }
 
 TEST(RequestQueueTest, RoundRobinAlternatesTenants) {
-  RequestQueue queue(ShapeKeyer);
+  RequestQueue queue;
   queue.Admit(MakeReq(0, "a", 0.0, 1));
   queue.Admit(MakeReq(1, "a", 1.0, 2));
   queue.Admit(MakeReq(2, "b", 2.0, 3));
@@ -195,7 +195,7 @@ TEST(RequestQueueTest, RoundRobinAlternatesTenants) {
 }
 
 TEST(RequestQueueTest, BatchesCompatibleHeadsAcrossTenants) {
-  RequestQueue queue(ShapeKeyer);
+  RequestQueue queue;
   queue.Admit(MakeReq(0, "a", 0.0, 7));
   queue.Admit(MakeReq(1, "a", 1.0, 7));  // same key: same batch
   queue.Admit(MakeReq(2, "a", 2.0, 9));  // different key: stays queued
@@ -212,7 +212,7 @@ TEST(RequestQueueTest, BatchesCompatibleHeadsAcrossTenants) {
 }
 
 TEST(RequestQueueTest, MaxBatchCapsTheRun) {
-  RequestQueue queue(ShapeKeyer);
+  RequestQueue queue;
   for (int i = 0; i < 5; ++i) {
     queue.Admit(MakeReq(i, "a", i, 7));
   }
