@@ -55,7 +55,7 @@ void FlightRecorder::InstallCheckHook() {
 void FlightRecorder::Dump(std::FILE* out) const {
   std::fprintf(out, "--- flight recorder: last %zu of %llu events ---\n", events_.size(),
                static_cast<unsigned long long>(event_next_));
-  const size_t event_start = event_oldest_;
+  const size_t event_start = event_next_ > capacity_ ? event_next_ % capacity_ : 0;
   for (size_t i = 0; i < events_.size(); ++i) {
     const EventEntry& entry = events_[(event_start + i) % events_.size()];
     std::fprintf(out, "  t=%.3f %s key=%llx slot=%u replica=%d\n", entry.time_us,
@@ -65,7 +65,7 @@ void FlightRecorder::Dump(std::FILE* out) const {
   }
   std::fprintf(out, "--- flight recorder: last %zu of %llu spans ---\n", spans_.size(),
                static_cast<unsigned long long>(span_next_));
-  const size_t span_start = span_oldest_;
+  const size_t span_start = span_next_ > capacity_ ? span_next_ % capacity_ : 0;
   for (size_t i = 0; i < spans_.size(); ++i) {
     const SpanRecord& span = spans_[(span_start + i) % spans_.size()];
     std::fprintf(out, "  [%.3f, %.3f] %s id=%llx arg=%llu replica=%d\n", span.start_us,
@@ -78,10 +78,8 @@ void FlightRecorder::Dump(std::FILE* out) const {
 void FlightRecorder::Clear() {
   events_.clear();
   event_next_ = 0;
-  event_oldest_ = 0;
   spans_.clear();
   span_next_ = 0;
-  span_oldest_ = 0;
 }
 
 }  // namespace flo

@@ -29,11 +29,19 @@ class FlightRecorder {
   // Hot path (called once per dispatched event / emitted span): inline so
   // the ring write costs two stores and a counter, not a cross-TU call.
   void OnEvent(const EventRecord& record, SimTime now) {
-    Record(&events_, &event_oldest_, EventEntry{now, record});
+    if (events_.size() < capacity_) {
+      events_.push_back(EventEntry{now, record});
+    } else {
+      events_[event_next_ % capacity_] = EventEntry{now, record};
+    }
     ++event_next_;
   }
   void OnSpan(const SpanRecord& span) {
-    Record(&spans_, &span_oldest_, span);
+    if (spans_.size() < capacity_) {
+      spans_.push_back(span);
+    } else {
+      spans_[span_next_ % capacity_] = span;
+    }
     ++span_next_;
   }
 
@@ -53,25 +61,11 @@ class FlightRecorder {
     EventRecord record;
   };
 
-  // Appends until the ring is full, then overwrites the oldest entry,
-  // *oldest, and advances it (no division on the hot path).
-  template <typename Entry>
-  void Record(std::vector<Entry>* ring, size_t* oldest, const Entry& entry) {
-    if (ring->size() < capacity_) {
-      ring->push_back(entry);
-    } else {
-      (*ring)[*oldest] = entry;
-      *oldest = *oldest + 1 == capacity_ ? 0 : *oldest + 1;
-    }
-  }
-
   size_t capacity_;
   std::vector<EventEntry> events_;
   uint64_t event_next_ = 0;
-  size_t event_oldest_ = 0;
   std::vector<SpanRecord> spans_;
   uint64_t span_next_ = 0;
-  size_t span_oldest_ = 0;
   int check_hook_ = -1;
 };
 

@@ -69,8 +69,9 @@ std::vector<SpanRecord> SpanTracer::TrackSpans(size_t track) const {
     spans = ring.buffer;
   } else {
     // The ring wrapped: oldest retained span sits at the write cursor.
+    const size_t start = ring.next % capacity_;
     for (size_t i = 0; i < capacity_; ++i) {
-      spans.push_back(ring.buffer[(ring.oldest + i) % capacity_]);
+      spans.push_back(ring.buffer[(start + i) % capacity_]);
     }
   }
   return spans;
@@ -80,7 +81,6 @@ void SpanTracer::Clear() {
   for (Ring& ring : tracks_) {
     ring.buffer.clear();
     ring.next = 0;
-    ring.oldest = 0;
   }
   emitted_ = 0;
   dropped_ = 0;

@@ -34,8 +34,7 @@ class SpanTracer {
     if (ring.buffer.size() < capacity_) {
       ring.buffer.push_back(record);
     } else {
-      ring.buffer[ring.oldest] = record;
-      ring.oldest = ring.oldest + 1 == capacity_ ? 0 : ring.oldest + 1;
+      ring.buffer[ring.next % capacity_] = record;
       ++dropped_;
     }
     ++ring.next;
@@ -59,7 +58,6 @@ class SpanTracer {
   struct Ring {
     std::vector<SpanRecord> buffer;
     uint64_t next = 0;  // total spans ever pushed to this ring
-    size_t oldest = 0;  // once full: the slot the next span overwrites
   };
 
   size_t capacity_;
