@@ -4,12 +4,14 @@
 #include <utility>
 
 #include "src/util/check.h"
+#include "src/util/logging.h"
 
 namespace flo {
 
-void PlanShipper::ShipToLocked(uint64_t key, const std::string& record,
+void PlanShipper::ShipToLocked(uint64_t key, const ExecutionPlan& plan,
                                Subscriber* subscriber) {
-  stats_.shipped += subscriber->store->ImportRecords(record);
+  subscriber->store->Put(key, plan);
+  ++stats_.shipped;
   if (subscriber->tuner != nullptr) {
     const auto artifact = artifacts_.find(key);
     if (artifact != artifacts_.end()) {
@@ -23,8 +25,13 @@ size_t PlanShipper::Subscribe(int replica_id, std::shared_ptr<PlanStore> store,
   FLO_CHECK(store != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   // Bootstrap: a late subscriber (autoscaler spawn) starts warm — both
-  // tiers — with every plan the fleet has already paid for.
-  const size_t bootstrapped = store->ImportRecords(published_.Serialize());
+  // tiers — with every plan the fleet has already paid for. Key order,
+  // like an import of the serialized set, so LRU order matches a
+  // snapshot warm start.
+  for (const auto& [key, plan] : published_.plans()) {
+    store->Put(key, plan);
+  }
+  const size_t bootstrapped = published_.size();
   stats_.shipped += bootstrapped;
   if (tuner != nullptr && !artifacts_.empty()) {
     std::vector<StoredPlan> artifacts;
@@ -72,12 +79,13 @@ void PlanShipper::SetDropFilter(DropFilter filter) {
 
 bool PlanShipper::BeginTuning(uint64_t key, int replica_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (const std::optional<std::string> record = published_.ExportRecord(key)) {
+  if (const auto published = published_.plans().find(key);
+      published != published_.plans().end()) {
     // Already tuned fleet-wide: re-ship into the caller (its bounded
     // store evicted the copy) instead of letting it re-search.
     const auto it = subscribers_.find(replica_id);
     if (it != subscribers_.end()) {
-      ShipToLocked(key, *record, &it->second);
+      ShipToLocked(key, published->second, &it->second);
     }
     return true;
   }
@@ -99,13 +107,19 @@ bool PlanShipper::Publish(uint64_t key, const PlanStore& source, const StoredPla
   if (!record.has_value()) {
     return false;
   }
+  // Parse the record once; the published set and every peer store get
+  // copies of the parsed plan.
+  std::optional<PlanStore> parsed = PlanStore::Parse(*record);
+  if (!parsed.has_value() || parsed->size() != 1) {
+    FLO_LOG(kError) << "plan publish rejected: malformed record for key " << key;
+    return false;
+  }
+  const ExecutionPlan& plan = parsed->plans().begin()->second;
   // A re-publish (an evicted copy re-tuned at zero searches) refreshes
   // the published set but is not a new plan and fans out nothing: peers
   // that lost their copy re-fetch through BeginTuning.
   const bool fresh = !published_.Contains(key);
-  if (published_.ImportRecords(*record) == 0) {
-    return false;
-  }
+  published_.Put(key, plan);
   if (!fresh) {
     return true;
   }
@@ -124,7 +138,7 @@ bool PlanShipper::Publish(uint64_t key, const PlanStore& source, const StoredPla
       ++stats_.ship_drops;
       continue;
     }
-    ShipToLocked(key, *record, &subscriber);
+    ShipToLocked(key, plan, &subscriber);
   }
   return true;
 }
@@ -157,9 +171,19 @@ size_t PlanShipper::ImportSnapshot(const std::string& text) {
   if (!tuner_tier.has_value()) {
     return 0;
   }
-  const size_t imported = published_.ImportRecords(text);
+  // Parse the plan tier once; the published set and every subscriber get
+  // copies, in key order like an import of the text.
+  const std::optional<PlanStore> parsed = PlanStore::Parse(text);
+  if (!parsed.has_value()) {
+    FLO_LOG(kError) << "snapshot import rejected: malformed or truncated plan records";
+    return 0;
+  }
+  const size_t imported = parsed->size();
   if (imported == 0) {
     return 0;
+  }
+  for (const auto& [key, plan] : parsed->plans()) {
+    published_.Put(key, plan);
   }
   std::vector<StoredPlan> artifacts;
   artifacts.reserve(tuner_tier->size());
@@ -172,7 +196,10 @@ size_t PlanShipper::ImportSnapshot(const std::string& text) {
   // Ship only the records just imported — re-shipping the whole
   // published set would churn the LRU order of bounded subscriber stores.
   for (auto& [id, subscriber] : subscribers_) {
-    stats_.shipped += subscriber.store->ImportRecords(text);
+    for (const auto& [key, plan] : parsed->plans()) {
+      subscriber.store->Put(key, plan);
+    }
+    stats_.shipped += imported;
     if (subscriber.tuner != nullptr && !artifacts.empty()) {
       subscriber.tuner->ImportPlans(artifacts);
     }

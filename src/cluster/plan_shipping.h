@@ -2,10 +2,11 @@
 //
 // Replicas subscribe their PlanStores; when one replica finishes a cold
 // tune it publishes the plan and the shipper copies it into every peer
-// store — through PlanStore's record serialization, so what crosses a
-// replica boundary is exactly the bytes that would cross a process
-// boundary (shipping and on-disk warm starts share one layer; see
-// PlanStore::ExportRecord / ImportRecords).
+// store. The published plan goes through PlanStore's record serialization
+// once — exported and parsed back, so what the fleet holds is exactly what
+// would cross a process boundary (shipping and on-disk warm starts share
+// one layer; see PlanStore::ExportRecord / ImportRecords) — and every peer
+// then gets a copy of the parsed plan.
 //
 // The shipper also single-flights searches fleet-wide: BeginTuning grants
 // each key to the first replica that asks; peers that lose the race park
@@ -113,9 +114,9 @@ class PlanShipper {
     Tuner* tuner = nullptr;
   };
 
-  // Delivers `key`'s record (and tuner artifact, if kept) to one
+  // Delivers `key`'s plan (and tuner artifact, if kept) to one
   // subscriber. Requires mu_.
-  void ShipToLocked(uint64_t key, const std::string& record, Subscriber* subscriber);
+  void ShipToLocked(uint64_t key, const ExecutionPlan& plan, Subscriber* subscriber);
 
   mutable std::mutex mu_;
   // The authoritative published set (unbounded: one entry per distinct

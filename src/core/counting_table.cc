@@ -1,5 +1,6 @@
 #include "src/core/counting_table.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/util/check.h"
@@ -7,13 +8,12 @@
 namespace flo {
 
 CountingTable::CountingTable(std::vector<int> group_targets)
-    : targets_(std::move(group_targets)) {
+    : targets_(std::move(group_targets)),
+      counts_(targets_.size(), 0),
+      callbacks_(targets_.size()) {
   FLO_CHECK(!targets_.empty());
-  counts_.reserve(targets_.size());
-  callbacks_.resize(targets_.size());
   for (int target : targets_) {
     FLO_CHECK_GT(target, 0);
-    counts_.push_back(std::make_unique<std::atomic<int>>(0));
   }
 }
 
@@ -26,7 +26,7 @@ int CountingTable::target(int group) const {
 int CountingTable::count(int group) const {
   FLO_CHECK_GE(group, 0);
   FLO_CHECK_LT(group, group_count());
-  return counts_[group]->load(std::memory_order_acquire);
+  return counts_[group];
 }
 
 void CountingTable::OnGroupComplete(int group, std::function<void()> callback) {
@@ -40,11 +40,12 @@ void CountingTable::OnGroupComplete(int group, std::function<void()> callback) {
   callbacks_[group].push_back(std::move(callback));
 }
 
-bool CountingTable::RecordTile(int group) {
+bool CountingTable::RecordTiles(int group, int n) {
   FLO_CHECK_GE(group, 0);
   FLO_CHECK_LT(group, group_count());
-  const int new_count = counts_[group]->fetch_add(1, std::memory_order_acq_rel) + 1;
-  FLO_CHECK_LE(new_count, targets_[group]) << "group over-counted";
+  FLO_CHECK_GT(n, 0);
+  FLO_CHECK_LE(n, targets_[group] - counts_[group]) << "group over-counted";
+  const int new_count = counts_[group] += n;
   if (new_count != targets_[group]) {
     return false;
   }
@@ -68,9 +69,7 @@ bool CountingTable::AllComplete() const {
 }
 
 void CountingTable::Reset() {
-  for (auto& count : counts_) {
-    count->store(0, std::memory_order_release);
-  }
+  std::fill(counts_.begin(), counts_.end(), 0);
   for (auto& callbacks : callbacks_) {
     callbacks.clear();
   }

@@ -1,16 +1,16 @@
 // The signaling mechanism's counting table (paper Sec. 3.2.4).
 //
-// The table holds one counter per wave group. The GEMM epilogue atomically
-// bumps the counter of the finished tile's group; when a counter reaches
-// the group's tile count, the group's communication may start. Counters are
-// std::atomic because on the real device epilogue threads race; the
-// simulator drives it single-threaded but through the same interface.
+// The table holds one counter per wave group. On the device the GEMM
+// epilogue bumps the counter of each finished tile's group; when a counter
+// reaches the group's tile count, the signal kernel releases the group's
+// communication. The simulator models the GEMM one wave at a time and all
+// of a wave's tiles finish at the same simulated time, so it records a
+// wave's tiles per group in one RecordTiles call instead of one call per
+// tile. Every caller is single-threaded, so the counters are plain ints.
 #ifndef SRC_CORE_COUNTING_TABLE_H_
 #define SRC_CORE_COUNTING_TABLE_H_
 
-#include <atomic>
 #include <functional>
-#include <memory>
 #include <vector>
 
 namespace flo {
@@ -28,9 +28,12 @@ class CountingTable {
   // group already completed the callback fires immediately.
   void OnGroupComplete(int group, std::function<void()> callback);
 
-  // Records one finished tile of `group`; returns true if this tile
-  // completed the group (the "signal"). Over-counting is a caller bug.
-  bool RecordTile(int group);
+  // Records `n` > 0 finished tiles of `group`; returns true if they
+  // completed the group (the "signal"), after firing its callbacks once.
+  // Over-counting is a caller bug.
+  bool RecordTiles(int group, int n);
+  // RecordTiles(group, 1): the per-tile epilogue's view.
+  bool RecordTile(int group) { return RecordTiles(group, 1); }
 
   bool GroupComplete(int group) const;
   bool AllComplete() const;
@@ -41,7 +44,7 @@ class CountingTable {
 
  private:
   std::vector<int> targets_;
-  std::vector<std::unique_ptr<std::atomic<int>>> counts_;
+  std::vector<int> counts_;
   std::vector<std::vector<std::function<void()>>> callbacks_;
 };
 

@@ -67,16 +67,15 @@ std::vector<ScheduleExecutor::RankState> ScheduleExecutor::BuildRankStates(
   for (int r = 0; r < n; ++r) {
     RankState& state = ranks[r];
     state.config = rank_configs[r];
-    state.group_tiles = plan.group_tiles[r];
-    state.group_of_slot.reserve(state.config.tile_count);
-    for (int g = 0; g < group_count; ++g) {
-      for (int i = 0; i < state.group_tiles[g]; ++i) {
-        state.group_of_slot.push_back(g);
-      }
+    state.group_ends.reserve(group_count);
+    int end = 0;
+    for (int tiles : plan.group_tiles[r]) {
+      end += tiles;
+      state.group_ends.push_back(end);
     }
-    FLO_CHECK_EQ(static_cast<int>(state.group_of_slot.size()), state.config.tile_count)
+    FLO_CHECK_EQ(end, state.config.tile_count)
         << "plan's counting targets must cover rank " << r << "'s tiles exactly";
-    state.table = std::make_unique<CountingTable>(state.group_tiles);
+    state.table = std::make_unique<CountingTable>(plan.group_tiles[r]);
     state.gemm_stream =
         std::make_unique<Stream>(sim, &devices_.device(r), "gemm" + std::to_string(r));
     state.comm_stream =
@@ -170,14 +169,14 @@ void ScheduleExecutor::EnqueueWaveSchedulers(Simulator* sim, std::vector<RankSta
   for (RankState& state : *ranks) {
     Device* device = state.gemm_stream->device();
     state.gemm_stream->Enqueue(
-        "gemm", [sim, rng, state_ptr = &state, device, jitter, wave_jitter_amp,
+        "gemm", [this, sim, rng, state_ptr = &state, device, jitter, wave_jitter_amp,
                  launch_overhead](Simulator&, Stream::DoneFn done) {
           auto next_wave = std::make_shared<std::function<void()>>();
           // The recursive closure holds itself only weakly: ownership
           // lives in the scheduled events (each wave event keeps the next
           // one alive), so the last wave releases the function — and the
           // captured `done` — instead of leaking a shared_ptr cycle.
-          *next_wave = [sim, rng, state_ptr, device, jitter, wave_jitter_amp,
+          *next_wave = [this, sim, rng, state_ptr, device, jitter, wave_jitter_amp,
                         weak_self = std::weak_ptr<std::function<void()>>(next_wave),
                         done = std::move(done)]() {
             RankState& state = *state_ptr;
@@ -189,13 +188,8 @@ void ScheduleExecutor::EnqueueWaveSchedulers(Simulator* sim, std::vector<RankSta
             const int take = std::min(width, state.config.tile_count - state.tiles_done);
             const double duration =
                 state.config.wave_time_us * JitterFactor(rng, jitter, wave_jitter_amp);
-            sim->Schedule(duration, [state_ptr, take, next_wave = weak_self.lock()]() {
-              RankState& state = *state_ptr;
-              for (int i = 0; i < take; ++i) {
-                const int slot = state.tiles_done + i;
-                state.table->RecordTile(state.group_of_slot[slot]);
-              }
-              state.tiles_done += take;
+            sim->Schedule(duration, [this, state_ptr, take, next_wave = weak_self.lock()]() {
+              RecordWave(state_ptr, take);
               (*next_wave)();
             });
           };
@@ -203,6 +197,26 @@ void ScheduleExecutor::EnqueueWaveSchedulers(Simulator* sim, std::vector<RankSta
           sim->Schedule(launch_overhead, [next_wave]() { (*next_wave)(); });
         });
   }
+}
+
+void ScheduleExecutor::RecordWave(RankState* state, int take) {
+  // The wave's tiles [tiles_done, tiles_done + take) finish together; walk
+  // the group boundaries they span in ascending order, which is the order
+  // in which per-tile recording would complete the groups.
+  int tile = state->tiles_done;
+  const int wave_end = tile + take;
+  while (tile < wave_end) {
+    const int group = state->group_cursor;
+    const int group_end = state->group_ends[group];
+    const int n = std::min(wave_end, group_end) - tile;
+    tile += n;
+    if (tile == group_end) {
+      ++state->group_cursor;
+    }
+    ++counting_updates_;
+    state->table->RecordTiles(group, n);
+  }
+  state->tiles_done = wave_end;
 }
 
 void ScheduleExecutor::CollectResults(const std::vector<RankState>& ranks,

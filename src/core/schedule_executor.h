@@ -76,6 +76,11 @@ class ScheduleExecutor {
                             const std::vector<GemmConfig>& rank_configs,
                             const EngineOptions& options, uint64_t case_seed);
 
+  // Counting-table updates (RecordTiles calls) over every overlapped run
+  // so far. A wave adds one per group its tiles span, so a run costs at
+  // most ranks x (waves + groups) updates however many tiles it has.
+  uint64_t counting_updates() const { return counting_updates_; }
+
   // Sequential baseline: every rank's GEMM runs unconstrained (minus any
   // reserved SMs), then the plan's single collective segment moves the full
   // payload once the slowest rank arrives. Closed form — no event queue.
@@ -86,12 +91,14 @@ class ScheduleExecutor {
  private:
   struct RankState {
     GemmConfig config;
-    std::vector<int> group_tiles;    // counting-table targets
-    std::vector<int> group_of_slot;  // cumulative boundaries
+    // Cumulative counting-table targets: group g holds the tiles in
+    // [group_ends[g-1], group_ends[g]).
+    std::vector<int> group_ends;
     std::unique_ptr<CountingTable> table;
     std::unique_ptr<Stream> gemm_stream;
     std::unique_ptr<Stream> comm_stream;
     int tiles_done = 0;
+    int group_cursor = 0;  // the group holding tile `tiles_done`
   };
   struct CollectiveSet {
     // Exactly one of the two entries per group is non-null: the
@@ -113,11 +120,15 @@ class ScheduleExecutor {
                              OverlapRun* run);
   void EnqueueWaveSchedulers(Simulator* sim, std::vector<RankState>* ranks,
                              const EngineOptions& options, Rng* rng);
+  // Records one finished wave of `take` tiles: one RecordTiles call per
+  // group the wave's tile range overlaps.
+  void RecordWave(RankState* state, int take);
   void CollectResults(const std::vector<RankState>& ranks, const CollectiveSet& collectives,
                       const EngineOptions& options, OverlapRun* run);
 
   ClusterSpec spec_;
   Cluster devices_;
+  uint64_t counting_updates_ = 0;
 };
 
 }  // namespace flo

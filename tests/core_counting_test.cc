@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/core/counting_table.h"
+#include "src/util/rng.h"
 
 namespace flo {
 namespace {
@@ -85,6 +88,103 @@ TEST(CountingTableDeathTest, InvalidGroupAborts) {
 
 TEST(CountingTableDeathTest, ZeroTargetAborts) {
   EXPECT_DEATH(CountingTable({0}), "");
+}
+
+TEST(CountingTableTest, BulkRecordCompletesGroupExactly) {
+  CountingTable table({5, 3});
+  int fired = 0;
+  table.OnGroupComplete(0, [&fired] { ++fired; });
+  EXPECT_FALSE(table.RecordTiles(0, 2));
+  EXPECT_EQ(table.count(0), 2);
+  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(table.RecordTiles(0, 3));
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(table.GroupComplete(0));
+  EXPECT_FALSE(table.GroupComplete(1));
+  // One call covering a whole group signals it on its own.
+  EXPECT_TRUE(table.RecordTiles(1, 3));
+  EXPECT_TRUE(table.AllComplete());
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(CountingTableDeathTest, BulkOverCountAborts) {
+  CountingTable table({4});
+  table.RecordTiles(0, 3);
+  EXPECT_DEATH(table.RecordTiles(0, 2), "over-counted");
+}
+
+TEST(CountingTableDeathTest, NonPositiveBulkCountAborts) {
+  CountingTable table({4});
+  EXPECT_DEATH(table.RecordTiles(0, 0), "");
+  EXPECT_DEATH(table.RecordTiles(0, -1), "");
+}
+
+// Drives one table through a GEMM's waves: each wave finishes the next
+// `width` tiles, laid out group after group. Logs every signal, the counts
+// after each wave, and every callback firing with the counts it saw.
+std::vector<std::string> ReplayWaves(const std::vector<int>& targets,
+                                     const std::vector<int>& widths, bool bulk) {
+  CountingTable table(targets);
+  std::vector<std::string> log;
+  auto snapshot = [&table] {
+    std::string counts;
+    for (int g = 0; g < table.group_count(); ++g) {
+      counts += std::to_string(table.count(g)) + ",";
+    }
+    return counts;
+  };
+  for (int g = 0; g < table.group_count(); ++g) {
+    for (int id = 0; id < 1 + g % 2; ++id) {
+      table.OnGroupComplete(g, [&log, &snapshot, g, id] {
+        log.push_back("callback " + std::to_string(g) + "." + std::to_string(id) + " at " +
+                      snapshot());
+      });
+    }
+  }
+  std::vector<int> group_of_tile;
+  for (int g = 0; g < table.group_count(); ++g) {
+    group_of_tile.insert(group_of_tile.end(), targets[g], g);
+  }
+  const int tiles = static_cast<int>(group_of_tile.size());
+  int done = 0;
+  for (size_t wave = 0; done < tiles; ++wave) {
+    const int end = std::min(tiles, done + widths[wave % widths.size()]);
+    while (done < end) {
+      const int group = group_of_tile[done];
+      int n = 1;
+      if (bulk) {
+        while (done + n < end && group_of_tile[done + n] == group) {
+          ++n;
+        }
+        if (table.RecordTiles(group, n)) {
+          log.push_back("signal " + std::to_string(group));
+        }
+      } else if (table.RecordTile(group)) {
+        log.push_back("signal " + std::to_string(group));
+      }
+      done += n;
+    }
+    log.push_back("wave " + std::to_string(wave) + " counts " + snapshot());
+  }
+  EXPECT_TRUE(table.AllComplete());
+  return log;
+}
+
+TEST(CountingTableTest, BulkRecordingMatchesPerTileRecording) {
+  Rng rng(20240611);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<int> targets(1 + rng.NextBelow(8));
+    for (int& target : targets) {
+      target = 1 + static_cast<int>(rng.NextBelow(rng.NextBelow(2) == 0 ? 4 : 300));
+    }
+    std::vector<int> widths(1 + rng.NextBelow(4));
+    for (int& width : widths) {
+      width = 1 + static_cast<int>(rng.NextBelow(200));
+    }
+    const std::vector<std::string> per_tile = ReplayWaves(targets, widths, /*bulk=*/false);
+    const std::vector<std::string> bulk = ReplayWaves(targets, widths, /*bulk=*/true);
+    ASSERT_EQ(per_tile, bulk) << "trial " << trial;
+  }
 }
 
 class CountingSweepTest : public ::testing::TestWithParam<std::vector<int>> {};

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/overlap_engine.h"
+#include "src/models/shapes.h"
 
 namespace flo {
 namespace {
@@ -143,6 +144,32 @@ TEST(OverlapEngineTest, GemmKeepsRunningWhileCommIsInFlight) {
   EXPECT_LT(run.gemm_end_us, run.groups.back().comm_end);
   if (run.groups.size() > 1) {
     EXPECT_LT(run.groups.front().comm_start, run.gemm_end_us);
+  }
+}
+
+TEST(OverlapEngineTest, ReplayCountingWorkScalesWithWavesNotTiles) {
+  // A wave's tiles finish together, so the executor records them with one
+  // counting-table update per group the wave spans: at most
+  // ranks x (waves + groups) updates per replay, against one per tile
+  // (tens of thousands on the larger shapes) if recording went per tile.
+  for (const bool a800 : {false, true}) {
+    const ClusterSpec cluster = a800 ? MakeA800Cluster(4) : Make4090Cluster(4);
+    OverlapEngine engine(cluster, {}, NoJitter());
+    for (const CommPrimitive primitive :
+         {CommPrimitive::kAllReduce, CommPrimitive::kReduceScatter, CommPrimitive::kAllToAll,
+          CommPrimitive::kAllGather}) {
+      for (const GemmShape& shape : OperatorShapes(primitive, a800)) {
+        const uint64_t before = engine.executor().counting_updates();
+        const OverlapRun run = engine.Execute(ScenarioSpec::Overlap(shape, primitive));
+        const uint64_t updates = engine.executor().counting_updates() - before;
+        const uint64_t waves = static_cast<uint64_t>(run.partition.TotalWaves());
+        const uint64_t groups = run.groups.size();
+        EXPECT_GT(updates, 0u);
+        EXPECT_LE(updates, static_cast<uint64_t>(cluster.gpu_count) * (waves + groups))
+            << shape.m << "x" << shape.n << "x" << shape.k << " "
+            << CommPrimitiveName(primitive) << (a800 ? " A800" : " 4090");
+      }
+    }
   }
 }
 
